@@ -39,13 +39,12 @@ from .filters import (
     indicator,
     smap_update,
 )
-from .linalg import gram, quad_form, solve_spd
+from .linalg import gram, solve_spd
 from .robustness import (
     DivergenceMonitorRecord,
     GlobalRobustnessReport,
     LocalRobustnessRecord,
     divergence_monitor,
-    energy_identity_residual,
     global_accumulate,
     local_check,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "SimulationError",
     "gram",
     "solve_spd",
-    "quad_form",
     "CONTRACT",
     "PRESERVE",
     "EXPAND",
@@ -99,7 +97,6 @@ __all__ = [
     "GlobalRobustnessReport",
     "DivergenceMonitorRecord",
     "local_check",
-    "energy_identity_residual",
     "global_accumulate",
     "divergence_monitor",
     "ConstrainedLSProblem",

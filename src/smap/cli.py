@@ -23,7 +23,7 @@ import numpy as np
 
 from . import filters, robustness
 from .constrained_ls import ConstrainedLSProblem, solve_constrained
-from .constraints import NOISE, ConstraintStrategy, fixed_cv, noise_cv, sc_cv, zero_cv
+from .constraints import CUSTOM, FIXED, KINDS, NOISE, ConstraintStrategy
 from .errors import InvalidInputError, SmapError
 from .filters import DataWindow, FilterState
 from .sim import (
@@ -43,18 +43,8 @@ TRACE_HEADER = [
     "lhs", "rhs", "misalignment", "max_abs_posterior",
 ]
 
-_CV_CHOICES = ("fixed", "sccv", "noise", "zero")
+_CV_CHOICES = tuple(kind for kind in KINDS if kind != CUSTOM)
 _VERIFY_TOL = 1e-8
-
-# key=value configuration files may set any of these; command-line flags
-# win over file values.
-_CONFIG_TYPES = {
-    "taps": int, "reuse": int, "gamma-bar": float, "delta": float,
-    "noise-var": float, "ar": float, "snr-db": float, "iters": int,
-    "seed": int, "cv": str, "noise-scale": float, "mu": float,
-    "out-dir": Path, "runs": int, "algos": str, "instances": int,
-    "max-reuse": int,
-}
 
 __all__ = [
     "TRACE_HEADER",
@@ -127,16 +117,6 @@ def _csv_text(header: list[str], rows) -> str:
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()
-
-
-def _strategy(name: str, noise_scale: float) -> ConstraintStrategy:
-    if name == "fixed":
-        return fixed_cv()
-    if name == "sccv":
-        return sc_cv()
-    if name == "noise":
-        return noise_cv(noise_scale)
-    return zero_cv()
 
 
 def _config_lines(config: ScenarioConfig, algorithm: str) -> list[str]:
@@ -245,8 +225,10 @@ def verify_update_against_kkt(
     """
     if instances < 0:
         raise InvalidInputError(f"instance count must be nonnegative, got {instances}")
-    if num_taps < max_reuse + 1:
-        raise InvalidInputError("reuse window cannot exceed the tap count")
+    if not 0 <= max_reuse < num_taps:
+        raise InvalidInputError(
+            f"largest reuse factor must lie in [0, {num_taps - 1}], got {max_reuse}"
+        )
     rng = np.random.default_rng(seed)
     max_update = 0.0
     max_post = 0.0
@@ -335,8 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config_file(path: Path) -> dict[str, str]:
-    entries: dict[str, str] = {}
+def _config_tokens(path: Path) -> list[str]:
+    """Turn each ``key = value`` line of a configuration file into ``--key=value``."""
+    tokens = []
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -344,68 +327,35 @@ def _load_config_file(path: Path) -> dict[str, str]:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
-        entries[key.strip()] = value.strip()
-    return entries
-
-
-def _apply_config_file(
-    args: argparse.Namespace, argv: list[str], parser: argparse.ArgumentParser
-) -> None:
-    try:
-        entries = _load_config_file(args.config)
-    except (OSError, ValueError) as err:
-        parser.error(str(err))
-    explicit = {
-        token[2:].split("=", 1)[0] for token in argv if token.startswith("--")
-    }
-    for key, raw in entries.items():
-        if key == "config":
-            continue
-        if key not in _CONFIG_TYPES:
-            parser.error(f"unknown configuration key {key!r} in {args.config}")
-        dest = key.replace("-", "_")
-        if not hasattr(args, dest):
-            parser.error(f"configuration key {key!r} does not apply to this command")
-        if key in explicit:
-            continue
-        try:
-            value = _CONFIG_TYPES[key](raw)
-        except ValueError:
-            parser.error(f"bad value for {key!r} in {args.config}: {raw!r}")
-        setattr(args, dest, value)
-    if getattr(args, "cv", "fixed") not in _CV_CHOICES:
-        parser.error(f"bad value for 'cv': {args.cv!r}")
+        tokens.append(f"--{key.strip()}={value.strip()}")
+    return tokens
 
 
 def _scenario_from_args(
     args: argparse.Namespace,
-    parser: argparse.ArgumentParser,
     cv_strategy: Optional[ConstraintStrategy] = None,
     ap_step: Optional[float] = None,
 ) -> ScenarioConfig:
     if cv_strategy is None:
-        cv_strategy = _strategy(args.cv, args.noise_scale)
-    try:
-        return ScenarioConfig(
-            num_taps=args.taps,
-            reuse=args.reuse,
-            gamma_bar=args.gamma_bar,
-            delta=args.delta,
-            noise_variance=args.noise_var,
-            ar_coefficient=args.ar,
-            snr_db=args.snr_db,
-            iterations=args.iters,
-            cv_strategy=cv_strategy,
-            ap_step=ap_step,
-            seed=args.seed,
-        )
-    except InvalidInputError as err:
-        parser.error(str(err))
+        cv_strategy = ConstraintStrategy(args.cv, args.noise_scale)
+    return ScenarioConfig(
+        num_taps=args.taps,
+        reuse=args.reuse,
+        gamma_bar=args.gamma_bar,
+        delta=args.delta,
+        noise_variance=args.noise_var,
+        ar_coefficient=args.ar,
+        snr_db=args.snr_db,
+        iterations=args.iters,
+        cv_strategy=cv_strategy,
+        ap_step=ap_step,
+        seed=args.seed,
+    )
 
 
-def cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def cmd_run(args: argparse.Namespace) -> int:
     algorithm = AP if args.mu is not None else SMAP
-    config = _scenario_from_args(args, parser, ap_step=args.mu)
+    config = _scenario_from_args(args, ap_step=args.mu)
     trace = run_single(config, algorithm, run_rng(config.seed, 0))
     bundle = write_run_outputs(trace, config, algorithm, args.out_dir)
     updates = int(trace.update_flags.sum())
@@ -419,38 +369,29 @@ def cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
 
 def _parse_algo_token(
-    token: str, parser: argparse.ArgumentParser, noise_scale: float
+    token: str, noise_scale: float
 ) -> tuple[str, Optional[ConstraintStrategy], Optional[float]]:
     name, _, arg = token.partition(":")
     if name == SMAP:
-        strategy = arg or "fixed"
-        if strategy not in _CV_CHOICES:
-            parser.error(f"unknown strategy in {token!r}")
-        return SMAP, _strategy(strategy, noise_scale), None
+        return SMAP, ConstraintStrategy(arg or FIXED, noise_scale), None
     if name == AP:
         try:
-            mu = float(arg)
+            return AP, None, float(arg)
         except ValueError:
-            parser.error(f"bad step size in {token!r}")
-        if not 0.0 < mu <= 1.0:
-            parser.error(f"step size in {token!r} must lie in (0, 1]")
-        return AP, None, mu
-    parser.error(f"unknown algorithm in {token!r}")
-    raise AssertionError("unreachable")
+            raise InvalidInputError(f"bad step size in {token!r}") from None
+    raise InvalidInputError(f"unknown algorithm in {token!r}")
 
 
-def cmd_mc(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def cmd_mc(args: argparse.Namespace) -> int:
     tokens = [t.strip() for t in args.algos.split(",") if t.strip()]
     if not tokens:
-        parser.error("--algos must name at least one configuration")
+        raise InvalidInputError("--algos must name at least one configuration")
     if len(set(tokens)) != len(tokens):
-        parser.error("--algos lists a configuration twice")
-    if args.runs < 1:
-        parser.error(f"run count must be positive, got {args.runs}")
+        raise InvalidInputError("--algos lists a configuration twice")
     results = []
     for token in tokens:
-        algorithm, strategy, mu = _parse_algo_token(token, parser, args.noise_scale)
-        config = _scenario_from_args(args, parser, cv_strategy=strategy, ap_step=mu)
+        algorithm, strategy, mu = _parse_algo_token(token, args.noise_scale)
+        config = _scenario_from_args(args, strategy, mu)
         summary = run_monte_carlo(config, algorithm, args.runs)
         results.append((token, config, algorithm, summary))
         print(
@@ -463,11 +404,7 @@ def cmd_mc(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
-def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if args.instances < 0:
-        parser.error(f"instance count must be nonnegative, got {args.instances}")
-    if args.taps < args.max_reuse + 1:
-        parser.error("reuse window cannot exceed the tap count")
+def cmd_verify(args: argparse.Namespace) -> int:
     result = verify_update_against_kkt(
         args.instances, num_taps=args.taps, max_reuse=args.max_reuse, seed=args.seed
     )
@@ -490,9 +427,17 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "config", None) is not None:
-        _apply_config_file(args, argv, parser)
+        try:
+            tokens = _config_tokens(args.config)
+        except (OSError, ValueError) as err:
+            parser.error(str(err))
+        # argv[0] is the subcommand.  File values go right after it so that
+        # every command-line flag, abbreviated or not, comes later and wins.
+        args = parser.parse_args(argv[:1] + tokens + argv[1:])
     try:
-        return args.func(args, parser)
+        return args.func(args)
+    except InvalidInputError as err:
+        parser.error(str(err))
     except SmapError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -18,8 +18,7 @@ import numpy as np
 from .errors import ConstraintBoundError, InvalidInputError
 from .linalg import gram, solve_spd
 
-# Classification labels shared by the update outcome, the energy records
-# and the trace CSV.
+# Classification labels shared by the energy records and the trace CSV.
 CONTRACT = "contract"
 PRESERVE = "preserve"
 EXPAND = "expand"
@@ -110,19 +109,15 @@ class DataWindow:
 
 @dataclass(frozen=True, slots=True)
 class UpdateOutcome:
-    """Everything observable about one gated step.
+    """Everything observable about one gated step without the true system.
 
-    The energy sums and the classification need the true system, so the
-    simulation layer fills them in; direct callers get ``None`` there
-    except for the trivial ``"no-update"`` label.
+    The energy sums and the classification need the true system; see
+    ``robustness.local_check``.
     """
 
     prior_errors: np.ndarray
     updated: bool
     posterior_errors: np.ndarray
-    g1: Optional[float] = None
-    g2: Optional[float] = None
-    classification: Optional[str] = None
 
 
 def error_vector(state: FilterState, window: DataWindow) -> np.ndarray:
@@ -192,7 +187,7 @@ def smap_update(
         )
     e = error_vector(state, window)
     if not indicator(e[0], gamma_bar):
-        return state, UpdateOutcome(e, False, e, classification=NO_UPDATE)
+        return state, UpdateOutcome(e, False, e)
     y = solve_spd(gram(window.X), e - cv, delta)
     new_state = FilterState(state.w + window.X @ y)
     posterior = window.d - window.X.T @ new_state.w

@@ -13,14 +13,14 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .errors import InvalidInputError, SingularSystemError
 
-__all__ = ["gram", "solve_spd", "quad_form"]
+__all__ = ["gram", "solve_spd"]
 
 
 def gram(X: np.ndarray) -> np.ndarray:
-    """Return ``X.T @ X`` with the upper triangle mirrored onto the lower.
+    """Return ``X.T @ X`` for a finite 2-D matrix with at least one column.
 
-    Mirroring makes the result symmetric to the bit, which the Cholesky
-    solve and the quadratic forms downstream rely on.
+    The product is symmetric to the bit as it stands, and the Cholesky
+    solve reads only its lower triangle anyway.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] < 1:
@@ -29,8 +29,7 @@ def gram(X: np.ndarray) -> np.ndarray:
         )
     if not np.all(np.isfinite(X)):
         raise InvalidInputError("matrix entries must be finite")
-    G = np.triu(X.T @ X)
-    return G + np.triu(G, 1).T
+    return X.T @ X
 
 
 def solve_spd(G: np.ndarray, b: np.ndarray, delta: float = 0.0) -> np.ndarray:
@@ -69,14 +68,3 @@ def solve_spd(G: np.ndarray, b: np.ndarray, delta: float = 0.0) -> np.ndarray:
             f"Gram system is not positive definite (delta={delta:g})"
         ) from err
     return cho_solve(factor, b, check_finite=False)
-
-
-def quad_form(G: np.ndarray, u: np.ndarray, v: np.ndarray, delta: float = 0.0) -> float:
-    """Evaluate ``u.T (G + delta*I)^{-1} v`` without forming the inverse."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.ndim != 1 or v.ndim != 1 or u.shape != v.shape:
-        raise InvalidInputError(
-            f"expected two vectors of equal length, got shapes {u.shape} and {v.shape}"
-        )
-    return float(u @ solve_spd(G, v, delta))

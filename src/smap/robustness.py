@@ -32,7 +32,6 @@ __all__ = [
     "GlobalRobustnessReport",
     "DivergenceMonitorRecord",
     "local_check",
-    "energy_identity_residual",
     "global_accumulate",
     "divergence_monitor",
 ]
@@ -148,18 +147,6 @@ def local_check(
         k, True, g1, g2, lhs, rhs, _classify(lhs, rhs),
         residual, wt_sq_before, wt_sq_after, e_quad, n_quad,
     )
-
-
-def energy_identity_residual(
-    w0: np.ndarray,
-    state_before: FilterState,
-    state_after: FilterState,
-    window: DataWindow,
-    cv: np.ndarray,
-    delta: float = 0.0,
-) -> float:
-    """Absolute gap ``|g1 - (g2 - rhs + lhs)|`` for one updating step."""
-    return local_check(w0, state_before, state_after, window, cv, True, delta).identity_residual
 
 
 def global_accumulate(

@@ -7,6 +7,7 @@ monitor attached, and averages Monte-Carlo ensembles.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -73,8 +74,14 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if self.num_taps < 1:
             raise InvalidInputError(f"need at least one tap, got {self.num_taps}")
-        if self.reuse < 0:
-            raise InvalidInputError(f"reuse factor must be nonnegative, got {self.reuse}")
+        if not 0 <= self.reuse < self.num_taps:
+            raise InvalidInputError(
+                f"reuse factor must lie in [0, {self.num_taps - 1}] for "
+                f"{self.num_taps} taps, got {self.reuse}"
+            )
+        for name in ("gamma_bar", "delta", "noise_variance", "snr_db"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidInputError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.gamma_bar > 0.0:
             raise InvalidInputError(f"threshold must be positive, got {self.gamma_bar}")
         if not self.delta >= 0.0:
@@ -89,6 +96,8 @@ class ScenarioConfig:
             raise InvalidInputError(f"iteration count must be nonnegative, got {self.iterations}")
         if self.runs < 1:
             raise InvalidInputError(f"run count must be positive, got {self.runs}")
+        if self.ap_step is not None and not 0.0 < self.ap_step <= 1.0:
+            raise InvalidInputError(f"step size must lie in (0, 1], got {self.ap_step}")
 
 
 @dataclass(frozen=True, slots=True)

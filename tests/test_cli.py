@@ -79,6 +79,11 @@ class TestRunCommand:
             ["mc", "--runs", "0"],
             ["verify", "--taps", "2", "--max-reuse", "5"],
             [],
+            ["run", "--mu", "1.5"],
+            ["run", "--mu", "0"],
+            ["run", "--taps", "2", "--reuse", "5"],
+            ["mc", "--algos", "smap:custom"],
+            ["verify", "--max-reuse", "-1"],
         ],
     )
     def test_usage_errors_exit_2(self, argv, capsys):
@@ -98,6 +103,9 @@ class TestConfigFile:
         assert "iters: 40" in summary
         assert "cv-strategy: sccv" in summary
         assert "seed: 5" in summary  # explicit flag beats the file value
+        assert main(["run", "--config", str(cfg), "--se", "6",
+                     "--out-dir", str(tmp_path)]) == 0
+        assert "seed: 6" in (tmp_path / "summary.txt").read_text()  # abbreviated too
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from smap.constrained_ls import ConstrainedLSProblem, solve_constrained
 from smap.errors import ConstraintBoundError, InvalidInputError, SingularSystemError
 from smap.filters import (
-    NO_UPDATE,
     DataWindow,
     FilterState,
     ap_update,
@@ -90,7 +89,6 @@ def test_no_update_inside_band():
     new_state, outcome = smap_update(state, window, np.zeros(1), GAMMA)
     assert new_state is state
     assert not outcome.updated
-    assert outcome.classification == NO_UPDATE
     npt.assert_array_equal(outcome.posterior_errors, outcome.prior_errors)
 
 

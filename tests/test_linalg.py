@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from smap.errors import InvalidInputError, SingularSystemError
-from smap.linalg import gram, quad_form, solve_spd
+from smap.linalg import gram, solve_spd
 
 
 def loop_gram(X):
@@ -138,34 +138,3 @@ def test_solve_validation():
         solve_spd(np.eye(2), np.ones(3))
     with pytest.raises(InvalidInputError):
         solve_spd(np.eye(2), np.ones(2), delta=-1e-9)
-
-
-def test_quad_identity():
-    v = np.array([1.0, 1.0])
-    assert quad_form(np.eye(2), v, v) == pytest.approx(2.0)
-
-
-def test_quad_zero_vector(rng):
-    G = random_spd(rng, 3)
-    assert quad_form(G, np.zeros(3), rng.standard_normal(3)) == 0.0
-
-
-def test_quad_matches_elimination(rng):
-    for _ in range(10):
-        G = random_spd(rng, 3)
-        u = rng.standard_normal(3)
-        v = rng.standard_normal(3)
-        expected = float(u @ eliminate(G, v))
-        assert quad_form(G, u, v) == pytest.approx(expected, rel=1e-9, abs=1e-12)
-
-
-def test_quad_symmetric_in_arguments(rng):
-    G = random_spd(rng, 4)
-    u = rng.standard_normal(4)
-    v = rng.standard_normal(4)
-    assert abs(quad_form(G, u, v) - quad_form(G, v, u)) <= 1e-12
-
-
-def test_quad_validation():
-    with pytest.raises(InvalidInputError):
-        quad_form(np.eye(2), np.ones(2), np.ones(3))

@@ -44,6 +44,11 @@ class TestScenarioConfig:
             {"ar_coefficient": -1.5},
             {"iterations": -1},
             {"runs": 0},
+            {"reuse": 10},
+            {"gamma_bar": float("inf")},
+            {"snr_db": float("nan")},
+            {"ap_step": 0.0},
+            {"ap_step": 1.5},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
