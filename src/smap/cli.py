@@ -15,9 +15,9 @@ import io
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Optional
+from typing import Optional, get_type_hints
 
 import numpy as np
 
@@ -45,6 +45,23 @@ TRACE_HEADER = [
 
 _CV_CHOICES = tuple(kind for kind in KINDS if kind != CUSTOM)
 _VERIFY_TOL = 1e-8
+
+# (flag, ScenarioConfig field, help) for the `run`/`mc` flags that set one
+# field each.  Types and defaults come from the dataclass, and the summary
+# echoes the fields under their flag names in this order.
+_SCENARIO_FLAGS = (
+    ("taps", "num_taps", "number of adaptive coefficients"),
+    ("reuse", "reuse", "data-reuse factor L"),
+    ("gamma-bar", "gamma_bar", "error-magnitude threshold"),
+    ("delta", "delta", "Gram regularization"),
+    ("noise-var", "noise_variance", "measurement-noise variance"),
+    ("ar", "ar_coefficient", "input autoregression coefficient"),
+    ("snr-db", "snr_db", "reference SNR target in dB"),
+    ("iters", "iterations", "iterations per run"),
+    ("seed", "seed", "master RNG seed"),
+)
+_FIELD_TYPES = get_type_hints(ScenarioConfig)
+_FIELD_DEFAULTS = {f.name: f.default for f in fields(ScenarioConfig)}
 
 __all__ = [
     "TRACE_HEADER",
@@ -120,24 +137,17 @@ def _csv_text(header: list[str], rows) -> str:
 
 
 def _config_lines(config: ScenarioConfig, algorithm: str) -> list[str]:
-    lines = [
-        f"algorithm: {algorithm}",
-        f"taps: {config.num_taps}",
-        f"reuse: {config.reuse}",
-        f"gamma-bar: {_fmt(config.gamma_bar)}",
-        f"delta: {_fmt(config.delta)}",
-        f"noise-var: {_fmt(config.noise_variance)}",
-        f"ar: {_fmt(config.ar_coefficient)}",
-        f"snr-db: {_fmt(config.snr_db)}",
-        f"iters: {config.iterations}",
-        f"seed: {config.seed}",
-    ]
     if algorithm == AP:
-        lines.insert(1, f"mu: {_fmt(config.ap_step)}")
+        lines = [f"algorithm: {algorithm}", f"mu: {_fmt(config.ap_step)}"]
     else:
-        lines.insert(1, f"cv-strategy: {config.cv_strategy.kind}")
-        if config.cv_strategy.kind == NOISE:
-            lines.append(f"noise-scale: {_fmt(config.cv_strategy.scale)}")
+        lines = [f"algorithm: {algorithm}", f"cv-strategy: {config.cv_strategy.kind}"]
+    # repr of each value as its declared type: floats read as in _fmt, ints plainly
+    lines += [
+        f"{flag}: {_FIELD_TYPES[name](getattr(config, name))!r}"
+        for flag, name, _ in _SCENARIO_FLAGS
+    ]
+    if algorithm != AP and config.cv_strategy.kind == NOISE:
+        lines.append(f"noise-scale: {_fmt(config.cv_strategy.scale)}")
     return lines
 
 
@@ -213,7 +223,7 @@ def write_mc_outputs(
 
 
 def verify_update_against_kkt(
-    instances: int, num_taps: int = 10, max_reuse: int = 2, seed: int = 0
+    instances: int, num_taps: int, max_reuse: int, seed: int
 ) -> VerifyResult:
     """Drive random updating steps through both solution routes.
 
@@ -268,15 +278,9 @@ def verify_update_against_kkt(
 
 
 def _add_scenario_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--taps", type=int, default=10, help="number of adaptive coefficients")
-    sub.add_argument("--reuse", type=int, default=2, help="data-reuse factor L")
-    sub.add_argument("--gamma-bar", type=float, default=0.2236, help="error-magnitude threshold")
-    sub.add_argument("--delta", type=float, default=1e-12, help="Gram regularization")
-    sub.add_argument("--noise-var", type=float, default=0.01, help="measurement-noise variance")
-    sub.add_argument("--ar", type=float, default=0.95, help="input autoregression coefficient")
-    sub.add_argument("--snr-db", type=float, default=20.0, help="reference SNR target in dB")
-    sub.add_argument("--iters", type=int, default=1000, help="iterations per run")
-    sub.add_argument("--seed", type=int, default=0, help="master RNG seed")
+    for flag, name, help_text in _SCENARIO_FLAGS:
+        sub.add_argument(f"--{flag}", dest=name, type=_FIELD_TYPES[name],
+                         default=_FIELD_DEFAULTS[name], help=help_text)
     sub.add_argument("--cv", choices=_CV_CHOICES, default="fixed",
                      help="constraint-vector strategy")
     sub.add_argument("--noise-scale", type=float, default=1.0,
@@ -297,14 +301,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario_flags(run_p)
     run_p.add_argument("--mu", type=float, default=None,
                        help="run the plain projection baseline with this step size (ignores --cv)")
-    run_p.set_defaults(func=cmd_run)
+    run_p.set_defaults(func=cmd_run, subparser=run_p)
 
     mc_p = sub.add_parser("mc", help="average a Monte-Carlo ensemble")
     _add_scenario_flags(mc_p)
     mc_p.add_argument("--runs", type=int, default=100, help="independent runs per configuration")
     mc_p.add_argument("--algos", type=str, default="smap:fixed,smap:sccv,smap:noise",
                       help="comma-separated configurations, e.g. smap:sccv or ap:0.9")
-    mc_p.set_defaults(func=cmd_mc)
+    mc_p.set_defaults(func=cmd_mc, subparser=mc_p)
 
     verify_p = sub.add_parser("verify", help="cross-check the update against the stacked solver")
     verify_p.add_argument("--instances", type=int, default=1000, help="random instances to sweep")
@@ -313,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify_p.add_argument("--seed", type=int, default=0, help="sweep RNG seed")
     verify_p.add_argument("--config", type=Path, default=None,
                           help="key=value file supplying flag defaults")
-    verify_p.set_defaults(func=cmd_verify)
+    verify_p.set_defaults(func=cmd_verify, subparser=verify_p)
     return parser
 
 
@@ -331,31 +335,17 @@ def _config_tokens(path: Path) -> list[str]:
     return tokens
 
 
-def _scenario_from_args(
-    args: argparse.Namespace,
-    cv_strategy: Optional[ConstraintStrategy] = None,
-    ap_step: Optional[float] = None,
-) -> ScenarioConfig:
-    if cv_strategy is None:
-        cv_strategy = ConstraintStrategy(args.cv, args.noise_scale)
+def _scenario_from_args(args: argparse.Namespace) -> ScenarioConfig:
     return ScenarioConfig(
-        num_taps=args.taps,
-        reuse=args.reuse,
-        gamma_bar=args.gamma_bar,
-        delta=args.delta,
-        noise_variance=args.noise_var,
-        ar_coefficient=args.ar,
-        snr_db=args.snr_db,
-        iterations=args.iters,
-        cv_strategy=cv_strategy,
-        ap_step=ap_step,
-        seed=args.seed,
+        **{name: getattr(args, name) for _, name, _ in _SCENARIO_FLAGS},
+        cv_strategy=ConstraintStrategy(args.cv, args.noise_scale),
+        ap_step=getattr(args, "mu", None),
     )
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     algorithm = AP if args.mu is not None else SMAP
-    config = _scenario_from_args(args, ap_step=args.mu)
+    config = _scenario_from_args(args)
     trace = run_single(config, algorithm, run_rng(config.seed, 0))
     bundle = write_run_outputs(trace, config, algorithm, args.out_dir)
     updates = int(trace.update_flags.sum())
@@ -368,17 +358,17 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_algo_token(
-    token: str, noise_scale: float
-) -> tuple[str, Optional[ConstraintStrategy], Optional[float]]:
+def _parse_algo_token(token: str, base: ScenarioConfig) -> tuple[str, ScenarioConfig]:
     name, _, arg = token.partition(":")
     if name == SMAP:
-        return SMAP, ConstraintStrategy(arg or FIXED, noise_scale), None
+        strategy = ConstraintStrategy(arg or FIXED, base.cv_strategy.scale)
+        return SMAP, replace(base, cv_strategy=strategy)
     if name == AP:
         try:
-            return AP, None, float(arg)
+            mu = float(arg)
         except ValueError:
             raise InvalidInputError(f"bad step size in {token!r}") from None
+        return AP, replace(base, ap_step=mu)
     raise InvalidInputError(f"unknown algorithm in {token!r}")
 
 
@@ -388,10 +378,11 @@ def cmd_mc(args: argparse.Namespace) -> int:
         raise InvalidInputError("--algos must name at least one configuration")
     if len(set(tokens)) != len(tokens):
         raise InvalidInputError("--algos lists a configuration twice")
+    base = _scenario_from_args(args)
+    # every token is checked before the first ensemble runs
+    plan = [(token, *_parse_algo_token(token, base)) for token in tokens]
     results = []
-    for token in tokens:
-        algorithm, strategy, mu = _parse_algo_token(token, args.noise_scale)
-        config = _scenario_from_args(args, strategy, mu)
+    for token, algorithm, config in plan:
         summary = run_monte_carlo(config, algorithm, args.runs)
         results.append((token, config, algorithm, summary))
         print(
@@ -405,9 +396,7 @@ def cmd_mc(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    result = verify_update_against_kkt(
-        args.instances, num_taps=args.taps, max_reuse=args.max_reuse, seed=args.seed
-    )
+    result = verify_update_against_kkt(args.instances, args.taps, args.max_reuse, args.seed)
     print(f"instances: {result.instances}")
     print(f"max coefficient gap:      {result.max_update_gap:.3e}")
     print(f"max posterior-target gap: {result.max_posterior_gap:.3e}")
@@ -426,18 +415,21 @@ def main(argv: Optional[list[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "config", None) is not None:
+    if args.config is not None:
         try:
             tokens = _config_tokens(args.config)
         except (OSError, ValueError) as err:
-            parser.error(str(err))
+            args.subparser.error(str(err))
         # argv[0] is the subcommand.  File values go right after it so that
         # every command-line flag, abbreviated or not, comes later and wins.
-        args = parser.parse_args(argv[:1] + tokens + argv[1:])
+        # The command line alone parsed cleanly, so anything left is the file's.
+        args, unknown = parser.parse_known_args(argv[:1] + tokens + argv[1:])
+        if unknown:
+            args.subparser.error(f"{args.config}: unknown keys: {' '.join(unknown)}")
     try:
         return args.func(args)
     except InvalidInputError as err:
-        parser.error(str(err))
+        args.subparser.error(str(err))
     except SmapError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -22,4 +22,5 @@ class DegenerateDenominatorError(SmapError, ZeroDivisionError):
 
 
 class SimulationError(SmapError, RuntimeError):
-    """A run failed mid-stream; the message carries the iteration index."""
+    """A run failed mid-stream; the message names the iteration, and in an
+    ensemble also the run index and the master seed that replay it."""

@@ -10,6 +10,7 @@ every step, scaled by a step size.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -132,8 +133,11 @@ def error_vector(state: FilterState, window: DataWindow) -> np.ndarray:
 def indicator(e0: float, gamma_bar: float) -> bool:
     """True when the current error magnitude strictly exceeds the threshold.
 
-    The boundary case deliberately does not update.
+    The boundary case deliberately does not update.  A non-finite error
+    is rejected: it would otherwise compare false and skip the step.
     """
+    if not math.isfinite(e0):
+        raise InvalidInputError(f"current error must be finite, got {e0}")
     return abs(e0) > gamma_bar
 
 
@@ -181,7 +185,8 @@ def smap_update(
         raise InvalidInputError(
             f"constraint shape {cv.shape} does not match window width {window.d.shape[0]}"
         )
-    if enforce_cv_bound and np.any(np.abs(cv) > gamma_bar + CV_BOUND_SLACK):
+    # written so that a NaN component fails the bound too
+    if enforce_cv_bound and not np.all(np.abs(cv) <= gamma_bar + CV_BOUND_SLACK):
         raise ConstraintBoundError(
             f"constraint magnitude {np.max(np.abs(cv)):.6g} exceeds threshold {gamma_bar:.6g}"
         )

@@ -49,7 +49,6 @@ class LocalRobustnessRecord:
     rhs: float  # twice the constraint/noise cross term
     classification: str
     identity_residual: float
-    w_tilde_sq_before: float
     w_tilde_sq_after: float
     e_tilde_quad: float
     noise_quad: float
@@ -57,25 +56,21 @@ class LocalRobustnessRecord:
 
 @dataclass(frozen=True, slots=True)
 class GlobalRobustnessReport:
-    """Accumulated energy ratio over a whole run."""
+    """Accumulated energy ratio over a whole run; at most 1 when no step expands."""
 
-    iterations: int
     update_set_size: int
     numerator: float
     denominator: float
     ratio: float
-    eta_bound: float  # certified ceiling for the ratio when no step expands
     condition_violations: int
 
 
 @dataclass(frozen=True, slots=True)
 class DivergenceMonitorRecord:
-    """Worst posterior window error and misalignment right after a step."""
+    """Worst posterior window error right after a step."""
 
     k: int
     max_abs_posterior: float
-    bound: float
-    w_tilde_sq: float
 
 
 def _classify(lhs: float, rhs: float) -> str:
@@ -127,7 +122,7 @@ def local_check(
     if not updated:
         return LocalRobustnessRecord(
             k, False, wt_sq_after, wt_sq_before, 0.0, 0.0, NO_UPDATE,
-            0.0, wt_sq_before, wt_sq_after, 0.0, 0.0,
+            0.0, wt_sq_after, 0.0, 0.0,
         )
     if window.n is None:
         raise InvalidInputError("energy check needs the noise window")
@@ -145,7 +140,7 @@ def local_check(
     residual = abs(g1 - (g2 - rhs + lhs))
     return LocalRobustnessRecord(
         k, True, g1, g2, lhs, rhs, _classify(lhs, rhs),
-        residual, wt_sq_before, wt_sq_after, e_quad, n_quad,
+        residual, wt_sq_after, e_quad, n_quad,
     )
 
 
@@ -160,7 +155,6 @@ def global_accumulate(
     iterations only; skipped steps contribute nothing.  The certified
     ceiling of 1 applies whenever no step was classified as expanding.
     """
-    records = list(records)
     e_sum = 0.0
     n_sum = 0.0
     updates = 0
@@ -177,28 +171,20 @@ def global_accumulate(
     if denominator == 0.0:
         raise DegenerateDenominatorError("energy-ratio denominator is zero")
     return GlobalRobustnessReport(
-        len(records), updates, numerator, denominator,
-        numerator / denominator, 1.0, violations,
+        updates, numerator, denominator, numerator / denominator, violations
     )
 
 
 def divergence_monitor(
-    state_after: FilterState,
-    window: DataWindow,
-    w0: np.ndarray,
-    gamma_bar: float,
-    *,
-    k: int = 0,
+    state_after: FilterState, window: DataWindow, *, k: int = 0
 ) -> DivergenceMonitorRecord:
-    """Record the worst posterior window error and the misalignment.
+    """Record the worst posterior window error.
 
     After an unregularized step every posterior error sits on a
     constraint component, so for in-band constraint vectors the recorded
     maximum stays within the threshold; that containment is what rules
-    out divergence of the error sequence.
+    out divergence of the error sequence.  The misalignment after the
+    step is ``LocalRobustnessRecord.w_tilde_sq_after``.
     """
     posterior = window.d - window.X.T @ state_after.w
-    wt = np.asarray(w0, dtype=float) - state_after.w
-    return DivergenceMonitorRecord(
-        k, float(np.max(np.abs(posterior))), float(gamma_bar), float(wt @ wt)
-    )
+    return DivergenceMonitorRecord(k, float(np.max(np.abs(posterior))))

@@ -66,7 +66,6 @@ class ScenarioConfig:
     ar_coefficient: float = 0.95
     snr_db: float = 20.0
     iterations: int = 1000
-    runs: int = 1
     cv_strategy: ConstraintStrategy = field(default_factory=fixed_cv)
     ap_step: Optional[float] = None
     seed: int = 0
@@ -94,8 +93,6 @@ class ScenarioConfig:
             )
         if self.iterations < 0:
             raise InvalidInputError(f"iteration count must be nonnegative, got {self.iterations}")
-        if self.runs < 1:
-            raise InvalidInputError(f"run count must be positive, got {self.runs}")
         if self.ap_step is not None and not 0.0 < self.ap_step <= 1.0:
             raise InvalidInputError(f"step size must lie in (0, 1], got {self.ap_step}")
 
@@ -291,9 +288,7 @@ def run_single(
             )
             local_records.append(record)
             misalignment[k + 1] = record.w_tilde_sq_after
-            div_records.append(
-                divergence_monitor(state, window, w0, config.gamma_bar, k=k)
-            )
+            div_records.append(divergence_monitor(state, window, k=k))
     except SimulationError:
         raise
     except SmapError as err:
@@ -311,16 +306,14 @@ def run_single(
     )
 
 
-def run_monte_carlo(
-    config: ScenarioConfig, algorithm: str, runs: Optional[int] = None
-) -> MonteCarloSummary:
-    """Average independent runs pointwise.
+def run_monte_carlo(config: ScenarioConfig, algorithm: str, runs: int) -> MonteCarloSummary:
+    """Average ``runs`` independent runs pointwise.
 
     Each run draws its system and signals from a substream derived from
     the master seed and the run index, so the ensemble is reproducible
-    regardless of how the runs would be scheduled.
+    regardless of how the runs would be scheduled, and a failing run is
+    reported with the run index and seed that replay it.
     """
-    runs = config.runs if runs is None else runs
     if runs < 1:
         raise InvalidInputError(f"run count must be positive, got {runs}")
     mse = np.zeros(config.iterations)
@@ -328,7 +321,10 @@ def run_monte_carlo(
     violations = np.empty(runs)
     relaxations = np.empty(runs)
     for run_index in range(runs):
-        trace = run_single(config, algorithm, run_rng(config.seed, run_index))
+        try:
+            trace = run_single(config, algorithm, run_rng(config.seed, run_index))
+        except SimulationError as err:
+            raise SimulationError(f"run {run_index} (seed {config.seed}): {err}") from err
         mse += trace.squared_error
         rates[run_index] = trace.update_rate
         violations[run_index] = trace.global_report.condition_violations

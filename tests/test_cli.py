@@ -84,12 +84,22 @@ class TestRunCommand:
             ["run", "--taps", "2", "--reuse", "5"],
             ["mc", "--algos", "smap:custom"],
             ["verify", "--max-reuse", "-1"],
+            ["mc", "--iters", "50", "--runs", "2", "--algos", "smap:fixed,ap:1.5"],
         ],
     )
-    def test_usage_errors_exit_2(self, argv, capsys):
+    def test_usage_errors_exit_2(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+        assert capsys.readouterr().out == ""  # rejected before anything runs
+        assert list(tmp_path.iterdir()) == []
+
+    def test_library_usage_error_shows_subcommand_usage(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--gamma-bar", "inf"])
+        assert exc.value.code == 2
+        assert "usage: smap run" in capsys.readouterr().err
 
 
 class TestConfigFile:
@@ -113,7 +123,27 @@ class TestConfigFile:
         with pytest.raises(SystemExit) as exc:
             main(["run", "--config", str(cfg)])
         assert exc.value.code == 2
-        assert "stepsize" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "stepsize" in err
+        assert str(cfg) in err
+        assert "usage: smap run" in err
+
+    def test_summary_echo_replays_as_config(self, tmp_path, capsys):
+        # the scenario echo uses the flag names, so fed back as a config
+        # file it must reproduce the summary byte for byte
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["run", "--iters", "40", "--seed", "7", "--cv", "noise",
+                     "--noise-scale", "0.5", "--gamma-bar", "0.3", "--snr-db", "15",
+                     "--out-dir", str(first)]) == 0
+        summary = (first / "summary.txt").read_text()
+        head, _, _ = summary.partition("updates:")
+        echo = head.splitlines()[3:]  # after command, algorithm and cv-strategy
+        assert echo[0] == "taps: 10" and echo[-1] == "noise-scale: 0.5"
+        cfg = tmp_path / "echo.cfg"
+        cfg.write_text("cv = noise\n" + "".join(
+            line.replace(": ", " = ", 1) + "\n" for line in echo))
+        assert main(["run", "--config", str(cfg), "--out-dir", str(second)]) == 0
+        assert (second / "summary.txt").read_bytes() == summary.encode()
 
     def test_missing_file_rejected(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -142,11 +142,25 @@ def test_cv_bound_enforcement():
     window = DataWindow(np.array([[1.0], [0.0]]), np.array([1.0]))
     with pytest.raises(ConstraintBoundError):
         smap_update(state, window, np.array([0.3]), GAMMA)
+    with pytest.raises(ConstraintBoundError):  # a NaN component fails the bound too
+        smap_update(state, window, np.array([np.nan]), GAMMA)
     new_state, outcome = smap_update(
         state, window, np.array([0.3]), GAMMA, enforce_cv_bound=False
     )
     assert outcome.updated
     npt.assert_allclose(outcome.posterior_errors, [0.3], atol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_current_error_is_rejected(bad):
+    # abs(nan) > gamma_bar is false, so without the check this step would
+    # be skipped silently
+    with pytest.raises(InvalidInputError):
+        indicator(bad, GAMMA)
+    state = FilterState(np.zeros(2))
+    window = DataWindow(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([bad, 0.0]))
+    with pytest.raises(InvalidInputError):
+        smap_update(state, window, np.zeros(2), GAMMA)
 
 
 def test_cv_shape_mismatch():

@@ -26,7 +26,7 @@ from smap.robustness import (
 
 def _skip_record(k, mis):
     return LocalRobustnessRecord(
-        k, False, mis, mis, 0.0, 0.0, NO_UPDATE, 0.0, mis, mis, 0.0, 0.0
+        k, False, mis, mis, 0.0, 0.0, NO_UPDATE, 0.0, mis, 0.0, 0.0
     )
 
 
@@ -36,7 +36,7 @@ def test_skipped_step_keeps_energies_equal(rng):
     window = DataWindow(rng.standard_normal((5, 2)), rng.standard_normal(2))
     rec = local_check(w0, state, state, window, np.zeros(2), updated=False, k=7)
     assert rec.classification == NO_UPDATE
-    assert rec.g1 == rec.g2 == rec.w_tilde_sq_before == rec.w_tilde_sq_after
+    assert rec.g1 == rec.g2 == rec.w_tilde_sq_after
     assert rec.lhs == rec.rhs == 0.0
     assert rec.k == 7
 
@@ -122,20 +122,18 @@ def test_degenerate_energy_raises(rng):
 def test_global_accumulate_without_updates():
     records = [_skip_record(k, 2.0) for k in range(5)]
     report = global_accumulate(records, 2.0, 2.0)
-    assert report.iterations == 5
     assert report.update_set_size == 0
     assert report.ratio == 1.0
-    assert report.eta_bound == 1.0
     assert report.condition_violations == 0
 
 
 def test_global_accumulate_sums_updating_records_only():
     up1 = LocalRobustnessRecord(
-        0, True, 3.5, 4.2, 0.1, 0.8, CONTRACT, 0.0, 4.0, 3.0, 0.5, 0.2
+        0, True, 3.5, 4.2, 0.1, 0.8, CONTRACT, 0.0, 3.0, 0.5, 0.2
     )
     skip = _skip_record(1, 3.0)
     up2 = LocalRobustnessRecord(
-        2, True, 3.75, 3.1, 0.9, 0.25, EXPAND, 0.0, 3.0, 3.5, 0.25, 0.1
+        2, True, 3.75, 3.1, 0.9, 0.25, EXPAND, 0.0, 3.5, 0.25, 0.1
     )
     report = global_accumulate([up1, skip, up2], 4.0, 3.5)
     assert report.numerator == pytest.approx(3.5 + 0.5 + 0.25)
@@ -163,7 +161,7 @@ def test_zero_noise_zero_target_never_expands(rng):
     gamma_bar = 0.1
     state = FilterState(np.zeros(num_taps))
     records = []
-    start = float(w0 @ w0)
+    start = misalignment = float(w0 @ w0)
     for k in range(reuse, steps):
         window = DataWindow(
             U[k - reuse : k + 1][::-1].T,
@@ -177,7 +175,8 @@ def test_zero_noise_zero_target_never_expands(rng):
             state, _ = smap_update(prev, window, np.zeros(reuse + 1), gamma_bar)
         rec = local_check(w0, prev, state, window, np.zeros(reuse + 1), updated, k=k)
         records.append(rec)
-        assert rec.w_tilde_sq_after <= rec.w_tilde_sq_before * (1 + 1e-12) + 1e-15
+        assert rec.w_tilde_sq_after <= misalignment * (1 + 1e-12) + 1e-15
+        misalignment = rec.w_tilde_sq_after
         assert rec.classification in (PRESERVE, NO_UPDATE)
     report = global_accumulate(records, start, records[-1].w_tilde_sq_after)
     assert report.update_set_size > 0
@@ -189,20 +188,14 @@ def test_divergence_record_after_step(rng, make_instance):
     new_state, _ = smap_update(
         inst["state"], inst["window"], inst["cv"], inst["gamma_bar"]
     )
-    div = divergence_monitor(
-        new_state, inst["window"], inst["w0"], inst["gamma_bar"], k=3
-    )
+    div = divergence_monitor(new_state, inst["window"], k=3)
     assert div.k == 3
-    assert div.bound == inst["gamma_bar"]
     assert div.max_abs_posterior <= inst["gamma_bar"] + 1e-8
-    expected = float(np.sum((inst["w0"] - new_state.w) ** 2))
-    assert div.w_tilde_sq == pytest.approx(expected, rel=1e-12)
 
 
 def test_divergence_monitor_reports_raw_errors_without_step(rng):
-    w0 = rng.standard_normal(4)
     state = FilterState(np.zeros(4))
     X = rng.standard_normal((4, 2))
     d = rng.standard_normal(2)
-    div = divergence_monitor(state, DataWindow(X, d), w0, 0.1)
+    div = divergence_monitor(state, DataWindow(X, d))
     assert div.max_abs_posterior == pytest.approx(np.max(np.abs(d)))

@@ -43,7 +43,6 @@ class TestScenarioConfig:
             {"ar_coefficient": 1.0},
             {"ar_coefficient": -1.5},
             {"iterations": -1},
-            {"runs": 0},
             {"reuse": 10},
             {"gamma_bar": float("inf")},
             {"snr_db": float("nan")},
@@ -221,15 +220,16 @@ class TestMonteCarlo:
         npt.assert_allclose(summary.mse_curve, manual, rtol=1e-15)
         assert summary.runs == 3
 
-    def test_uses_configured_run_count(self):
-        config = ScenarioConfig(iterations=30, seed=8, runs=2)
-        summary = run_monte_carlo(config, SMAP)
-        assert summary.runs == 2
-
     def test_rejects_bad_run_count(self):
         config = ScenarioConfig(iterations=30)
         with pytest.raises(InvalidInputError):
             run_monte_carlo(config, SMAP, runs=0)
+
+    def test_failure_names_run_and_seed(self):
+        # the same singular warm-up as above, now inside an ensemble
+        config = ScenarioConfig(iterations=5, delta=0.0, seed=2)
+        with pytest.raises(SimulationError, match=r"run 0 \(seed 2\): iteration 0"):
+            run_monte_carlo(config, SMAP, 3)
 
 
 class TestSteadyState:
