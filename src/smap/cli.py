@@ -23,7 +23,7 @@ import numpy as np
 
 from . import filters, robustness
 from .constrained_ls import ConstrainedLSProblem, solve_constrained
-from .constraints import CUSTOM, FIXED, KINDS, NOISE, ConstraintStrategy
+from .constraints import CUSTOM, KINDS, NOISE, ConstraintStrategy
 from .errors import InvalidInputError, SmapError
 from .filters import DataWindow, FilterState
 from .sim import (
@@ -60,6 +60,7 @@ _SCENARIO_FLAGS = (
     ("iters", "iterations", "iterations per run"),
     ("seed", "seed", "master RNG seed"),
 )
+_FIELD_FLAGS = {name: flag for flag, name, _ in _SCENARIO_FLAGS}
 _FIELD_TYPES = get_type_hints(ScenarioConfig)
 _FIELD_DEFAULTS = {f.name: f.default for f in fields(ScenarioConfig)}
 
@@ -307,7 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario_flags(mc_p)
     mc_p.add_argument("--runs", type=int, default=100, help="independent runs per configuration")
     mc_p.add_argument("--algos", type=str, default="smap:fixed,smap:sccv,smap:noise",
-                      help="comma-separated configurations, e.g. smap:sccv or ap:0.9")
+                      help="comma-separated configurations, e.g. smap:sccv, ap:0.9, "
+                           "or smap for the --cv strategy")
     mc_p.set_defaults(func=cmd_mc, subparser=mc_p)
 
     verify_p = sub.add_parser("verify", help="cross-check the update against the stacked solver")
@@ -361,8 +363,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 def _parse_algo_token(token: str, base: ScenarioConfig) -> tuple[str, ScenarioConfig]:
     name, _, arg = token.partition(":")
     if name == SMAP:
-        strategy = ConstraintStrategy(arg or FIXED, base.cv_strategy.scale)
-        return SMAP, replace(base, cv_strategy=strategy)
+        if not arg:  # a bare token takes --cv and --noise-scale
+            return SMAP, base
+        return SMAP, replace(base, cv_strategy=ConstraintStrategy(arg, base.cv_strategy.scale))
     if name == AP:
         try:
             mu = float(arg)
@@ -429,7 +432,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         return args.func(args)
     except InvalidInputError as err:
-        args.subparser.error(str(err))
+        flag = _FIELD_FLAGS.get(err.field)
+        args.subparser.error(f"argument --{flag}: {err}" if flag else str(err))
     except SmapError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -95,17 +95,23 @@ def make_cv(
     *,
     enforce_bound: bool = True,
 ) -> np.ndarray:
-    """Build the constraint vector for one updating step.
+    """Build the constraint vector for one updating step, or for a stack of them.
 
     ``prior_errors`` is the current error vector over the window (entry 0
-    first); ``noise_window`` is consulted by the noise strategy only.
-    With ``enforce_bound`` the noise strategy raises when a scaled
-    component leaves the acceptance band; the simulation harness relaxes
-    this and counts instead.
+    first), or a stack of such rows with shape ``(R, L+1)`` whose rows
+    are treated independently; ``noise_window`` matches its shape and is
+    consulted by the noise strategy only.  A custom rule takes one row
+    per call.  With ``enforce_bound`` the noise strategy raises when a
+    scaled component leaves the acceptance band; the simulation harness
+    relaxes this and counts instead.
     """
     prior = np.asarray(prior_errors, dtype=float)
-    if prior.ndim != 1 or prior.size == 0:
-        raise InvalidInputError(f"prior errors must be a non-empty vector, got shape {prior.shape}")
+    if prior.ndim not in (1, 2) or prior.shape[-1] == 0:
+        raise InvalidInputError(
+            f"prior errors must be a non-empty vector or a stack of them, got shape {prior.shape}"
+        )
+    if prior.ndim == 2 and strategy.kind == CUSTOM:
+        raise InvalidInputError("a custom rule takes one error vector per call")
     if not gamma_bar > 0.0:
         raise InvalidInputError(f"threshold must be positive, got {gamma_bar}")
     if strategy.kind == FIXED:
@@ -115,7 +121,7 @@ def make_cv(
         # band.  With exact posteriors they already sit inside; clipping
         # absorbs the leakage regularized steps leave behind.
         cv = np.clip(prior, -gamma_bar, gamma_bar)
-        cv[0] = gamma_bar * np.sign(prior[0])
+        cv[..., 0] = gamma_bar * np.sign(prior[..., 0])
         return cv
     if strategy.kind == NOISE:
         if noise_window is None:
@@ -140,6 +146,11 @@ def make_cv(
     return cv
 
 
-def satisfies_bound(cv: np.ndarray, gamma_bar: float) -> bool:
-    """True when every component magnitude is at most ``gamma_bar``."""
-    return bool(np.all(np.abs(np.asarray(cv, dtype=float)) <= gamma_bar))
+def satisfies_bound(cv: np.ndarray, gamma_bar: float):
+    """True when every component magnitude is at most ``gamma_bar``; a NaN fails.
+
+    For a stack of constraint vectors the answer is a boolean array with
+    one entry per row.
+    """
+    ok = np.all(np.abs(np.asarray(cv, dtype=float)) <= gamma_bar, axis=-1)
+    return ok if ok.ndim else bool(ok)

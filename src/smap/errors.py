@@ -6,7 +6,14 @@ class SmapError(Exception):
 
 
 class InvalidInputError(SmapError, ValueError):
-    """Bad shapes, non-finite entries, or out-of-range scalars."""
+    """Bad shapes, non-finite entries, or out-of-range scalars.
+
+    ``field`` names the configuration field at fault when one value is.
+    """
+
+    def __init__(self, *args, field=None):
+        super().__init__(*args)
+        self.field = field
 
 
 class SingularSystemError(SmapError, ArithmeticError):

@@ -41,6 +41,7 @@ __all__ = [
     "UpdateOutcome",
     "error_vector",
     "indicator",
+    "check_cv_bound",
     "smap_update",
     "ap_update",
 ]
@@ -141,6 +142,18 @@ def indicator(e0: float, gamma_bar: float) -> bool:
     return abs(e0) > gamma_bar
 
 
+def check_cv_bound(cv: np.ndarray, gamma_bar: float) -> None:
+    """Reject constraint components above ``gamma_bar`` plus ``CV_BOUND_SLACK``.
+
+    A NaN component fails too.  ``cv`` may be one vector or a stack of
+    them; the error names the largest magnitude in it.
+    """
+    if not np.all(np.abs(cv) <= gamma_bar + CV_BOUND_SLACK):
+        raise ConstraintBoundError(
+            f"constraint magnitude {np.max(np.abs(cv)):.6g} exceeds threshold {gamma_bar:.6g}"
+        )
+
+
 def smap_update(
     state: FilterState,
     window: DataWindow,
@@ -185,11 +198,8 @@ def smap_update(
         raise InvalidInputError(
             f"constraint shape {cv.shape} does not match window width {window.d.shape[0]}"
         )
-    # written so that a NaN component fails the bound too
-    if enforce_cv_bound and not np.all(np.abs(cv) <= gamma_bar + CV_BOUND_SLACK):
-        raise ConstraintBoundError(
-            f"constraint magnitude {np.max(np.abs(cv)):.6g} exceeds threshold {gamma_bar:.6g}"
-        )
+    if enforce_cv_bound:
+        check_cv_bound(cv, gamma_bar)
     e = error_vector(state, window)
     if not indicator(e[0], gamma_bar):
         return state, UpdateOutcome(e, False, e)

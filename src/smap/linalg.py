@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrs as potrs
 
 from .errors import InvalidInputError, SingularSystemError
 
-__all__ = ["gram", "solve_spd"]
+__all__ = ["gram", "solve_spd", "cholesky_stack", "solve_cholesky_stack"]
 
 
 def gram(X: np.ndarray) -> np.ndarray:
@@ -64,7 +65,46 @@ def solve_spd(G: np.ndarray, b: np.ndarray, delta: float = 0.0) -> np.ndarray:
     try:
         factor = cho_factor(H, lower=True, check_finite=False)
     except np.linalg.LinAlgError as err:
-        raise SingularSystemError(
-            f"Gram system is not positive definite (delta={delta:g})"
-        ) from err
+        raise _not_positive_definite(delta) from err
     return cho_solve(factor, b, check_finite=False)
+
+
+def _not_positive_definite(delta: float) -> SingularSystemError:
+    return SingularSystemError(f"Gram system is not positive definite (delta={delta:g})")
+
+
+def cholesky_stack(G: np.ndarray, delta: float = 0.0) -> np.ndarray:
+    """Lower Cholesky factors of ``G + delta*I`` for a stack of Gram matrices.
+
+    ``G`` has shape ``(R, m, m)``.  Raises ``SingularSystemError``, as
+    ``solve_spd`` does, when any matrix of the stack is not positive
+    definite; factor the matrices one by one to find which.  Each factor
+    equals the one ``solve_spd`` computes for the same matrix.
+    """
+    G = np.asarray(G, dtype=float)
+    if G.ndim != 3 or G.shape[1] != G.shape[2]:
+        raise InvalidInputError(f"expected a stack of square matrices, got shape {G.shape}")
+    H = G if delta == 0.0 else G + delta * np.eye(G.shape[-1])
+    try:
+        return np.linalg.cholesky(H)
+    except np.linalg.LinAlgError as err:
+        raise _not_positive_definite(delta) from err
+
+
+def solve_cholesky_stack(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve ``(L L^T) y = b`` for each system of a stack, given its factor ``L``.
+
+    ``factor`` holds the lower factors from ``cholesky_stack``, shape
+    ``(R, m, m)``; ``b`` is ``(R, m)`` or ``(R, m, c)``.  Each system goes
+    through LAPACK's ``potrs``, the routine behind ``solve_spd``, so a
+    system solved here matches ``solve_spd`` on the same matrix to the bit.
+    """
+    b = np.asarray(b, dtype=float)
+    if factor.ndim != 3 or b.ndim not in (2, 3) or b.shape[:2] != factor.shape[:2]:
+        raise InvalidInputError(
+            f"right-hand side shape {b.shape} does not match factor stack {factor.shape}"
+        )
+    y = np.empty_like(b)
+    for i in range(b.shape[0]):
+        y[i], _ = potrs(factor[i], b[i], lower=1)
+    return y

@@ -32,6 +32,7 @@ __all__ = [
     "GlobalRobustnessReport",
     "DivergenceMonitorRecord",
     "local_check",
+    "expands",
     "global_accumulate",
     "divergence_monitor",
 ]
@@ -73,10 +74,21 @@ class DivergenceMonitorRecord:
     max_abs_posterior: float
 
 
+def _tied(lhs, rhs):
+    # |lhs - rhs| <= PRESERVE_RTOL * max(1, rhs), for numbers and arrays alike
+    gap = abs(lhs - rhs)
+    return (gap <= PRESERVE_RTOL) | (gap <= PRESERVE_RTOL * rhs)
+
+
 def _classify(lhs: float, rhs: float) -> str:
-    if abs(lhs - rhs) <= PRESERVE_RTOL * max(1.0, rhs):
+    if _tied(lhs, rhs):
         return PRESERVE
     return CONTRACT if lhs < rhs else EXPAND
+
+
+def expands(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Elementwise over condition terms: True where ``local_check`` would say expand."""
+    return ~(lhs < rhs) & ~_tied(lhs, rhs)
 
 
 def local_check(

@@ -85,6 +85,8 @@ class TestRunCommand:
             ["mc", "--algos", "smap:custom"],
             ["verify", "--max-reuse", "-1"],
             ["mc", "--iters", "50", "--runs", "2", "--algos", "smap:fixed,ap:1.5"],
+            ["run", "--snr-db", "4000"],
+            ["run", "--snr-db", "-4000"],
         ],
     )
     def test_usage_errors_exit_2(self, argv, tmp_path, monkeypatch, capsys):
@@ -100,6 +102,12 @@ class TestRunCommand:
             main(["run", "--gamma-bar", "inf"])
         assert exc.value.code == 2
         assert "usage: smap run" in capsys.readouterr().err
+        # the message names the flag as typed, then the library's reason
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--noise-var", "0"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument --noise-var: noise variance must be positive" in err
 
 
 class TestConfigFile:
@@ -173,6 +181,13 @@ class TestMcCommand:
         assert "mu: 0.5" in summary
         out = capsys.readouterr().out
         assert "smap:sccv: update-rate" in out
+
+    def test_bare_smap_token_takes_cv(self, tmp_path, capsys):
+        rc = main(["mc", "--iters", "40", "--runs", "2", "--cv", "sccv",
+                   "--algos", "smap,ap:0.5", "--out-dir", str(tmp_path)])
+        assert rc == 0
+        summary = (tmp_path / "summary.txt").read_text()
+        assert "[smap]\nalgorithm: smap\ncv-strategy: sccv\n" in summary
 
     def test_single_run_column_equals_trace(self, tmp_path, capsys):
         rc = main(["mc", "--iters", "50", "--runs", "1",

@@ -96,3 +96,19 @@ def test_make_cv_validates_inputs():
 )
 def test_satisfies_bound(cv, ok):
     assert satisfies_bound(np.array(cv), GAMMA) is ok
+
+
+@pytest.mark.parametrize("strategy", [fixed_cv(), sc_cv(), noise_cv(0.5), zero_cv()])
+def test_stacked_rows_match_single_rows(rng, strategy):
+    prior = rng.standard_normal((6, 3))
+    noise = 0.3 * rng.standard_normal((6, 3))
+    stacked = make_cv(strategy, prior, noise, GAMMA, enforce_bound=False)
+    for row, e, n in zip(stacked, prior, noise):
+        npt.assert_array_equal(row, make_cv(strategy, e, n, GAMMA, enforce_bound=False))
+    assert satisfies_bound(stacked, GAMMA).tolist() == [satisfies_bound(r, GAMMA) for r in stacked]
+
+
+def test_custom_rule_takes_one_row_per_call():
+    strategy = custom_cv(lambda prior, noise, gamma_bar: np.zeros(prior.size))
+    with pytest.raises(InvalidInputError):
+        make_cv(strategy, np.zeros((2, 3)), None, GAMMA)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from smap.errors import InvalidInputError, SingularSystemError
-from smap.linalg import gram, solve_spd
+from smap.linalg import cholesky_stack, gram, solve_cholesky_stack, solve_spd
 
 
 def loop_gram(X):
@@ -138,3 +138,21 @@ def test_solve_validation():
         solve_spd(np.eye(2), np.ones(3))
     with pytest.raises(InvalidInputError):
         solve_spd(np.eye(2), np.ones(2), delta=-1e-9)
+
+
+@pytest.mark.parametrize("delta", [0.0, 1e-12])
+def test_stacked_factor_solves_like_solve_spd(rng, delta):
+    # ensembles rely on these matching the one-system route to the bit
+    G = np.stack([random_spd(rng, 3) for _ in range(5)])
+    B = rng.standard_normal((5, 3, 2))
+    sols = solve_cholesky_stack(cholesky_stack(G, delta), B)
+    for Gi, Bi, sol in zip(G, B, sols):
+        npt.assert_array_equal(sol, solve_spd(Gi, Bi, delta))
+        npt.assert_array_equal(sol[:, 0], solve_spd(Gi, Bi[:, 0], delta))
+
+
+def test_stacked_factor_rejects_indefinite_member(rng):
+    G = np.stack([random_spd(rng, 2), np.diag([1.0, -1.0])])
+    with pytest.raises(SingularSystemError):
+        cholesky_stack(G)
+    cholesky_stack(G[:1])

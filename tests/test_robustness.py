@@ -19,6 +19,7 @@ from smap.filters import (
 from smap.robustness import (
     LocalRobustnessRecord,
     divergence_monitor,
+    expands,
     global_accumulate,
     local_check,
 )
@@ -72,6 +73,8 @@ def test_scaled_noise_target_trichotomy(rng, make_instance, scale, expected):
     )
     rec = local_check(inst["w0"], inst["state"], new_state, inst["window"], cv, True)
     assert rec.classification == expected
+    # the stacked rule that ensembles use draws the same tie band
+    assert expands(np.array([rec.lhs]), np.array([rec.rhs])).tolist() == [expected == EXPAND]
 
 
 def test_identity_residual_on_random_steps(rng, make_instance):

@@ -1,9 +1,13 @@
 """Tests for signal generation and the experiment driver."""
 
+import re
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from smap import sim
 from smap.constraints import custom_cv, fixed_cv, noise_cv, sc_cv, zero_cv
 from smap.errors import InvalidInputError, SimulationError
 from smap.sim import (
@@ -48,11 +52,14 @@ class TestScenarioConfig:
             {"snr_db": float("nan")},
             {"ap_step": 0.0},
             {"ap_step": 1.5},
+            {"snr_db": 4000.0},  # reference power overflows
+            {"snr_db": -4000.0},  # reference power underflows to zero
         ],
     )
     def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError) as exc:
             ScenarioConfig(**kwargs)
+        assert exc.value.field == next(iter(kwargs))
 
 
 class TestSignals:
@@ -199,7 +206,54 @@ class TestRunSingle:
         assert trace.global_report.ratio <= 1.0 + 1e-8
 
 
+def _halved_reversed(prior, noise_window, gamma_bar):
+    """A stateless in-band custom rule."""
+    return np.clip(0.5 * prior[::-1], -gamma_bar, gamma_bar)
+
+
+ENSEMBLE_CASES = {
+    "fixed": {"cv_strategy": fixed_cv()},
+    "sccv": {"cv_strategy": sc_cv()},
+    "noise": {"cv_strategy": noise_cv()},
+    "zero": {"cv_strategy": zero_cv()},
+    "custom": {"cv_strategy": custom_cv(_halved_reversed)},
+    "ap:0.9": {"ap_step": 0.9},
+    "ap:0.05": {"ap_step": 0.05},
+}
+
+
 class TestMonteCarlo:
+    @pytest.mark.parametrize("reuse,num_taps", [(0, 3), (2, 3), (0, 10), (2, 10)])
+    @pytest.mark.parametrize("case", list(ENSEMBLE_CASES))
+    def test_lockstep_matches_run_single(self, case, reuse, num_taps):
+        # the lockstep engine against the scalar reference, run by run
+        kwargs = ENSEMBLE_CASES[case]
+        algorithm = AP if "ap_step" in kwargs else SMAP
+        for seed in (0, 1, 2):
+            config = ScenarioConfig(
+                iterations=150, num_taps=num_taps, reuse=reuse, seed=seed, **kwargs
+            )
+            summary = run_monte_carlo(config, algorithm, 4)
+            traces = [run_single(config, algorithm, run_rng(seed, i)) for i in range(4)]
+            npt.assert_array_equal(summary.update_rates, [t.update_rate for t in traces])
+            npt.assert_array_equal(
+                summary.violation_counts,
+                [t.global_report.condition_violations for t in traces],
+            )
+            npt.assert_array_equal(summary.cv_relaxations, [t.cv_relaxations for t in traces])
+            npt.assert_array_equal(
+                summary.mse_curve, sum(t.squared_error for t in traces) / 4
+            )
+
+    def test_blocks_join_in_run_order(self, monkeypatch):
+        config = ScenarioConfig(iterations=60, seed=8, cv_strategy=sc_cv())
+        whole = run_monte_carlo(config, SMAP, 5)
+        monkeypatch.setattr(sim, "_BLOCK_RUNS", 2)
+        blocked = run_monte_carlo(config, SMAP, 5)
+        npt.assert_array_equal(blocked.mse_curve, whole.mse_curve)
+        npt.assert_array_equal(blocked.update_rates, whole.update_rates)
+        npt.assert_array_equal(blocked.violation_counts, whole.violation_counts)
+
     def test_single_run_matches_run_single(self):
         config = ScenarioConfig(iterations=150, seed=6)
         summary = run_monte_carlo(config, SMAP, runs=1)
@@ -230,6 +284,36 @@ class TestMonteCarlo:
         config = ScenarioConfig(iterations=5, delta=0.0, seed=2)
         with pytest.raises(SimulationError, match=r"run 0 \(seed 2\): iteration 0"):
             run_monte_carlo(config, SMAP, 3)
+
+    @pytest.mark.parametrize("fault", ["out-of-band", "wrong-shape"])
+    def test_later_run_failure_replays_with_run_single(self, fault):
+        seed = 5
+        plain = ScenarioConfig(iterations=100, seed=seed, cv_strategy=custom_cv(_halved_reversed))
+        # run 0 never passes this level, so the failure comes from a later run
+        level = np.max(np.abs(run_single(plain, SMAP, run_rng(seed, 0)).errors))
+
+        def rule(prior, noise_window, gamma_bar):
+            if abs(prior[0]) <= level:
+                return _halved_reversed(prior, noise_window, gamma_bar)
+            if fault == "out-of-band":
+                return np.full(prior.size, 2.0 * gamma_bar)
+            return np.zeros(prior.size + 1)
+
+        config = replace(plain, cv_strategy=custom_cv(rule))
+        with pytest.raises(SimulationError) as ensemble:
+            run_monte_carlo(config, SMAP, 6)
+        # replay every run alone: the ensemble names the first failing
+        # step and, among the runs failing there, the lowest
+        replays = {}
+        for run in range(6):
+            try:
+                run_single(config, SMAP, run_rng(seed, run))
+            except SimulationError as err:
+                step = int(re.match(r"iteration (\d+): ", str(err))[1])
+                replays[(step, run)] = err
+        step, run = min(replays)
+        assert run > 0
+        assert str(ensemble.value) == f"run {run} (seed {seed}): {replays[(step, run)]}"
 
 
 class TestSteadyState:
