@@ -61,11 +61,6 @@ class FilterState:
             raise InvalidInputError("coefficients must be finite")
         object.__setattr__(self, "w", w)
 
-    @property
-    def order(self) -> int:
-        """Filter order N (number of taps minus one)."""
-        return self.w.shape[0] - 1
-
     @classmethod
     def zeros(cls, num_taps: int) -> "FilterState":
         return cls(np.zeros(num_taps))
@@ -77,7 +72,8 @@ class DataWindow:
 
     Column ``j`` of ``X`` is the input vector ``j`` steps back; ``d[j]``
     and ``n[j]`` are the matching reference and noise samples.  The noise
-    is only observable in simulation, hence optional.
+    is only observable in simulation, hence optional.  Every entry must
+    be finite.
     """
 
     X: np.ndarray
@@ -102,11 +98,14 @@ class DataWindow:
                     f"noise shape {n.shape} does not match window width {X.shape[1]}"
                 )
             object.__setattr__(self, "n", n)
-
-    @property
-    def reuse(self) -> int:
-        """Data-reuse factor L (window width minus one)."""
-        return self.X.shape[1] - 1
+        # A sum or dot product of finite entries is finite barring overflow
+        # (inf * 0 is nan), so one cheap test clears the usual window and
+        # only a failing one is searched for the array at fault.
+        if not math.isfinite(X.sum() + np.dot(d, d if self.n is None else self.n)):
+            for name in ("X", "d", "n"):
+                value = getattr(self, name)
+                if value is not None and not np.isfinite(value).all():
+                    raise InvalidInputError(f"window {name} must be finite")
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,7 +116,6 @@ class UpdateOutcome:
     ``robustness.local_check``.
     """
 
-    prior_errors: np.ndarray
     updated: bool
     posterior_errors: np.ndarray
 
@@ -202,11 +200,11 @@ def smap_update(
         check_cv_bound(cv, gamma_bar)
     e = error_vector(state, window)
     if not indicator(e[0], gamma_bar):
-        return state, UpdateOutcome(e, False, e)
+        return state, UpdateOutcome(False, e)
     y = solve_spd(gram(window.X), e - cv, delta)
     new_state = FilterState(state.w + window.X @ y)
     posterior = window.d - window.X.T @ new_state.w
-    return new_state, UpdateOutcome(e, True, posterior)
+    return new_state, UpdateOutcome(True, posterior)
 
 
 def ap_update(

@@ -2,19 +2,20 @@
 
 Everything operates on the (L+1)-sized Gram systems that the projection
 update and the energy bookkeeping share.  The Gram inverse is never
-formed explicitly; callers go through the regularized solve so the
-algorithm and its checks apply the exact same operator.
+formed.  Every solve, of one system or a stack, factors the regularized
+Gram matrix with LAPACK's ``dpotrf`` and solves with ``dpotrs``, one
+system at a time, so a system solved in a stack matches it solved alone
+to the bit, and the algorithm and its checks apply the same operator.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.lapack import dpotrs as potrs
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import InvalidInputError, SingularSystemError
 
-__all__ = ["gram", "solve_spd", "cholesky_stack", "solve_cholesky_stack"]
+__all__ = ["gram", "solve_spd", "solve_spd_stack", "not_positive_definite"]
 
 
 def gram(X: np.ndarray) -> np.ndarray:
@@ -61,50 +62,48 @@ def solve_spd(G: np.ndarray, b: np.ndarray, delta: float = 0.0) -> np.ndarray:
         )
     if not delta >= 0.0:
         raise InvalidInputError(f"delta must be nonnegative, got {delta}")
-    H = G if delta == 0.0 else G + delta * np.eye(G.shape[0])
-    try:
-        factor = cho_factor(H, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as err:
-        raise _not_positive_definite(delta) from err
-    return cho_solve(factor, b, check_finite=False)
-
-
-def _not_positive_definite(delta: float) -> SingularSystemError:
-    return SingularSystemError(f"Gram system is not positive definite (delta={delta:g})")
-
-
-def cholesky_stack(G: np.ndarray, delta: float = 0.0) -> np.ndarray:
-    """Lower Cholesky factors of ``G + delta*I`` for a stack of Gram matrices.
-
-    ``G`` has shape ``(R, m, m)``.  Raises ``SingularSystemError``, as
-    ``solve_spd`` does, when any matrix of the stack is not positive
-    definite; factor the matrices one by one to find which.  Each factor
-    equals the one ``solve_spd`` computes for the same matrix.
-    """
-    G = np.asarray(G, dtype=float)
-    if G.ndim != 3 or G.shape[1] != G.shape[2]:
-        raise InvalidInputError(f"expected a stack of square matrices, got shape {G.shape}")
-    H = G if delta == 0.0 else G + delta * np.eye(G.shape[-1])
-    try:
-        return np.linalg.cholesky(H)
-    except np.linalg.LinAlgError as err:
-        raise _not_positive_definite(delta) from err
-
-
-def solve_cholesky_stack(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``(L L^T) y = b`` for each system of a stack, given its factor ``L``.
-
-    ``factor`` holds the lower factors from ``cholesky_stack``, shape
-    ``(R, m, m)``; ``b`` is ``(R, m)`` or ``(R, m, c)``.  Each system goes
-    through LAPACK's ``potrs``, the routine behind ``solve_spd``, so a
-    system solved here matches ``solve_spd`` on the same matrix to the bit.
-    """
-    b = np.asarray(b, dtype=float)
-    if factor.ndim != 3 or b.ndim not in (2, 3) or b.shape[:2] != factor.shape[:2]:
-        raise InvalidInputError(
-            f"right-hand side shape {b.shape} does not match factor stack {factor.shape}"
-        )
-    y = np.empty_like(b)
-    for i in range(b.shape[0]):
-        y[i], _ = potrs(factor[i], b[i], lower=1)
+    y = _cholesky_solve(G if delta == 0.0 else G + delta * np.eye(G.shape[0]), b)
+    if y is None:
+        raise not_positive_definite(delta)
     return y
+
+
+def solve_spd_stack(
+    G: np.ndarray, b: np.ndarray, delta: float = 0.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Solve ``(G[i] + delta*I) y[i] = b[i]`` for each system of a stack.
+
+    ``G`` has shape ``(R, m, m)`` and ``b`` shape ``(R, m)`` or
+    ``(R, m, c)``.  Returns the solutions, shaped like ``b``, and a
+    boolean flag per system that is true where ``G[i] + delta*I`` is not
+    positive definite; ``y[i]`` is zero there, and the other systems are
+    solved all the same.  Inputs are not validated; ``solve_spd`` is the
+    checked entry point for one system.
+    """
+    H = G if delta == 0.0 else G + delta * np.eye(G.shape[-1])
+    y = np.zeros_like(b)
+    singular = np.zeros(len(H), dtype=bool)
+    for i in range(len(H)):
+        yi = _cholesky_solve(H[i], b[i])
+        if yi is None:
+            singular[i] = True
+        else:
+            y[i] = yi
+    return y, singular
+
+
+def _cholesky_solve(H: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """Solve ``H y = b`` by ``dpotrf`` and ``dpotrs``; None if ``H`` is not positive definite.
+
+    A 2-D solution comes back in Fortran order, as from scipy's Cholesky
+    helpers, and dot products over its columns round by that layout.
+    """
+    factor, info = dpotrf(H, lower=1, clean=0)
+    if info:
+        return None
+    return dpotrs(factor, b, lower=1)[0]
+
+
+def not_positive_definite(delta: float) -> SingularSystemError:
+    """The error a solve raises for a system that is not positive definite."""
+    return SingularSystemError(f"Gram system is not positive definite (delta={delta:g})")

@@ -20,7 +20,6 @@ from .errors import (
     ConstraintBoundError,
     InvalidInputError,
     SimulationError,
-    SingularSystemError,
     SmapError,
 )
 from .filters import (
@@ -32,7 +31,7 @@ from .filters import (
     indicator,
     smap_update,
 )
-from .linalg import cholesky_stack, solve_cholesky_stack
+from .linalg import not_positive_definite, solve_spd_stack
 from .robustness import (
     DivergenceMonitorRecord,
     GlobalRobustnessReport,
@@ -385,20 +384,25 @@ def run_monte_carlo(config: ScenarioConfig, algorithm: str, runs: int) -> MonteC
 
     The runs are advanced in lockstep, in blocks of ``_BLOCK_RUNS``, so
     peak memory grows with the block, not with ``runs``.  Each time step
-    handles every run of a block at once; the runs whose gate fires share
-    one stacked Cholesky factorization of their regularized Gram
-    matrices, which serves both the update and the energy check.  Every
-    check of ``run_single`` applies, and the ``SmapError`` it would raise
-    reads ``run r (seed s): iteration k: ...``, naming the lowest failing
-    run at the first failing step of the first failing block.
+    handles every run of a block at once; each run whose gate fires gets
+    one Cholesky factorization of its regularized Gram matrix, which
+    serves both the update and the energy check.  Every check of
+    ``run_single`` applies, and the ``SmapError`` it would raise reads
+    ``run r (seed s): iteration k: ...``, naming the lowest failing run
+    at the first failing step of the first failing block.
 
-    Each run follows its ``run_single`` trajectory to the bit: products
-    go through the same numpy loops, solves through the same LAPACK
-    routine, and squared errors are summed in run order, so
-    ``mse_curve`` equals the average of the ``run_single`` curves and the
-    per-run rates and counts match.  The energy check's quadratic forms
-    are summed in another order, which could move a step's
-    classification only at the edge of the ``PRESERVE_RTOL`` tie band.
+    Products go through the same numpy loops as in ``run_single``, solves
+    through the same LAPACK calls (``dpotrf``, ``dpotrs``), and squared
+    errors are summed in run order.  So with up to 15 taps and a reuse
+    factor up to 9 (every such shape was checked) each run follows its
+    ``run_single`` trajectory to the bit: ``mse_curve`` equals the average
+    of the ``run_single`` curves and the per-run rates and counts match.
+    From 16 taps on, BLAS may round ``run_single``'s 2-D Gram product and
+    the stacked one differently in the last bit; tests bound the
+    ``mse_curve`` gap at 1e-6 relative, with equal counts.  The energy
+    check's quadratic forms are summed in another order, which could
+    move a step's classification only at the edge of the
+    ``PRESERVE_RTOL`` tie band.
     A custom constraint rule is called once per firing run and step, in
     run order within each step, so a rule that keeps state sees a
     different call order than under ``run_single``.
@@ -494,17 +498,14 @@ def _lockstep_block(
                     _record(failed, rows, lambda i: check_cv_bound(cv[i], gamma_bar))
             # Products are taken over the strided windows of every run, never
             # over gathered copies: numpy then runs the same unblocked loops
-            # as it does on run_single's windows, so that, with potrs for the
-            # solves, each run follows run_single's trajectory to the bit.
+            # as it does on run_single's windows, so that, with solve_spd's
+            # LAPACK calls for the solves, each run follows run_single's
+            # trajectory to the bit.  The update and the energy check share
+            # one factorization per row.
             G = (Xt @ Xt.transpose(0, 2, 1))[sel]
-            try:
-                factor = cholesky_stack(G, delta)
-            except SingularSystemError:
-                singular = _record(failed, rows, lambda i: cholesky_stack(G[i : i + 1], delta))
-                G[singular] = np.eye(m)  # stand-ins so that the other rows still factor
-                factor = cholesky_stack(G, delta)
-            # the update and the energy check share the factor: one solve each row
-            sols = solve_cholesky_stack(factor, np.stack((ef - cv, nf, cv), axis=2))
+            sols, singular = solve_spd_stack(G, np.stack((ef - cv, nf, cv), axis=2), delta)
+            for i in np.flatnonzero(singular):
+                failed.setdefault(int(rows[i]), not_positive_definite(delta))
             y = np.zeros((R, m))
             y[sel] = sols[:, :, 0]
             move = (y[:, None, :] @ Xt)[sel, 0]
@@ -542,21 +543,18 @@ def _lockstep_block(
         mse += squared[:, r]
 
 
-def _record(failed: dict, rows: np.ndarray, check) -> list[int]:
-    """Call ``check(i)`` for each position ``i`` in ``rows``; return those that raised.
+def _record(failed: dict, rows: np.ndarray, check) -> None:
+    """Call ``check(i)`` for each position ``i`` in ``rows``.
 
     The first ``SmapError`` per run is kept in ``failed`` under the run's
     row ``rows[i]``.  The stages of a step run in ``run_single``'s order,
     so a run keeps the error that ``run_single`` would raise.
     """
-    raised = []
     for i, r in enumerate(rows):
         try:
             check(i)
         except SmapError as err:
             failed.setdefault(int(r), err)
-            raised.append(i)
-    return raised
 
 
 def steady_state_db(mse_curve: np.ndarray, fraction: float = 0.2) -> float:

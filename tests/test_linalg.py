@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.linalg import cho_factor, cho_solve
 
 from smap.errors import InvalidInputError, SingularSystemError
-from smap.linalg import cholesky_stack, gram, solve_cholesky_stack, solve_spd
+from smap.linalg import gram, solve_spd, solve_spd_stack
 
 
 def loop_gram(X):
@@ -141,18 +142,28 @@ def test_solve_validation():
 
 
 @pytest.mark.parametrize("delta", [0.0, 1e-12])
-def test_stacked_factor_solves_like_solve_spd(rng, delta):
-    # ensembles rely on these matching the one-system route to the bit
-    G = np.stack([random_spd(rng, 3) for _ in range(5)])
-    B = rng.standard_normal((5, 3, 2))
-    sols = solve_cholesky_stack(cholesky_stack(G, delta), B)
-    for Gi, Bi, sol in zip(G, B, sols):
-        npt.assert_array_equal(sol, solve_spd(Gi, Bi, delta))
-        npt.assert_array_equal(sol[:, 0], solve_spd(Gi, Bi[:, 0], delta))
+def test_solves_match_cho_solve_to_the_bit(rng, delta):
+    # both routes keep the arithmetic of scipy's cho_factor/cho_solve, which
+    # call the same LAPACK pair; ensembles rely on the stack matching one system
+    for m in range(1, 10):
+        G = np.stack([gram(rng.standard_normal((m + 3, m))) for _ in range(4)])
+        for b in (rng.standard_normal((4, m)), rng.standard_normal((4, m, 3))):
+            sols, singular = solve_spd_stack(G, b, delta)
+            assert not singular.any()
+            for Gi, bi, sol in zip(G, b, sols):
+                expected = cho_solve(cho_factor(Gi + delta * np.eye(m), lower=True), bi)
+                got = solve_spd(Gi, bi, delta)
+                npt.assert_array_equal(got, expected)
+                # the layout too: dot products over the columns round by it
+                assert got.strides == expected.strides
+                npt.assert_array_equal(sol, expected)
 
 
 def test_stacked_factor_rejects_indefinite_member(rng):
-    G = np.stack([random_spd(rng, 2), np.diag([1.0, -1.0])])
-    with pytest.raises(SingularSystemError):
-        cholesky_stack(G)
-    cholesky_stack(G[:1])
+    G = np.stack([random_spd(rng, 2), np.diag([1.0, -1.0]), random_spd(rng, 2)])
+    b = rng.standard_normal((3, 2))
+    sols, singular = solve_spd_stack(G, b)
+    npt.assert_array_equal(singular, [False, True, False])
+    npt.assert_array_equal(sols[1], 0.0)
+    for i in (0, 2):
+        npt.assert_array_equal(sols[i], solve_spd(G[i], b[i]))
