@@ -116,6 +116,11 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _column(values) -> list[str]:
+    """``_fmt`` of every value, formatted as one column."""
+    return list(map(repr, np.asarray(values, dtype=float).tolist()))
+
+
 def _atomic_write(path: Path, text: str) -> None:
     """Write the full text, then move it into place in one step."""
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=f".{path.name}.")
@@ -157,22 +162,19 @@ def write_run_outputs(
 ) -> OutputBundle:
     """Write ``trace.csv`` and ``summary.txt`` for one run."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for k in range(trace.errors.size):
-        rec = trace.local_records[k]
-        div = trace.divergence_records[k]
-        rows.append([
-            k,
-            _fmt(trace.errors[k]),
-            int(trace.update_flags[k]),
-            _fmt(rec.g1),
-            _fmt(rec.g2),
-            rec.classification,
-            _fmt(rec.lhs),
-            _fmt(rec.rhs),
-            _fmt(trace.misalignment[k + 1]),
-            _fmt(div.max_abs_posterior),
-        ])
+    recs = trace.local_records
+    rows = zip(
+        range(trace.errors.size),
+        _column(trace.errors),
+        trace.update_flags.astype(int).tolist(),
+        _column([rec.g1 for rec in recs]),
+        _column([rec.g2 for rec in recs]),
+        [rec.classification for rec in recs],
+        _column([rec.lhs for rec in recs]),
+        _column([rec.rhs for rec in recs]),
+        _column(trace.misalignment[1:]),
+        _column([div.max_abs_posterior for div in trace.divergence_records]),
+    )
     trace_path = out_dir / "trace.csv"
     _atomic_write(trace_path, _csv_text(TRACE_HEADER, rows))
     report = trace.global_report
@@ -201,10 +203,7 @@ def write_mc_outputs(
     out_dir.mkdir(parents=True, exist_ok=True)
     labels = [label for label, _, _, _ in results]
     iters = results[0][3].mse_curve.size
-    rows = [
-        [k] + [_fmt(summary.mse_curve[k]) for _, _, _, summary in results]
-        for k in range(iters)
-    ]
+    rows = zip(range(iters), *(_column(summary.mse_curve) for _, _, _, summary in results))
     mse_path = out_dir / "mse.csv"
     _atomic_write(mse_path, _csv_text(["k"] + labels, rows))
     lines = ["command: mc", f"runs: {runs}"]

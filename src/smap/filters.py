@@ -146,7 +146,7 @@ def check_cv_bound(cv: np.ndarray, gamma_bar: float) -> None:
     A NaN component fails too.  ``cv`` may be one vector or a stack of
     them; the error names the largest magnitude in it.
     """
-    if not np.all(np.abs(cv) <= gamma_bar + CV_BOUND_SLACK):
+    if not (np.abs(cv) <= gamma_bar + CV_BOUND_SLACK).all():
         raise ConstraintBoundError(
             f"constraint magnitude {np.max(np.abs(cv)):.6g} exceeds threshold {gamma_bar:.6g}"
         )

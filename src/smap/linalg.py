@@ -10,12 +10,14 @@ to the bit, and the algorithm and its checks apply the same operator.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import InvalidInputError, SingularSystemError
 
-__all__ = ["gram", "solve_spd", "solve_spd_stack", "not_positive_definite"]
+__all__ = ["gram", "solve_spd", "solve_spd_stack", "not_positive_definite", "all_finite"]
 
 
 def gram(X: np.ndarray) -> np.ndarray:
@@ -29,9 +31,14 @@ def gram(X: np.ndarray) -> np.ndarray:
         raise InvalidInputError(
             f"expected a 2-D matrix with at least one column, got shape {X.shape}"
         )
-    if not np.all(np.isfinite(X)):
+    if not all_finite(X):
         raise InvalidInputError("matrix entries must be finite")
     return X.T @ X
+
+
+def all_finite(a: np.ndarray) -> bool:
+    """True when every entry is finite; one sum clears all but a failing or overflowing ``a``."""
+    return math.isfinite(a.sum()) or bool(np.isfinite(a).all())
 
 
 def solve_spd(G: np.ndarray, b: np.ndarray, delta: float = 0.0) -> np.ndarray:
@@ -81,7 +88,7 @@ def solve_spd_stack(
     checked entry point for one system.
     """
     H = G if delta == 0.0 else G + delta * np.eye(G.shape[-1])
-    y = np.zeros_like(b)
+    y = np.zeros(b.shape)
     singular = np.zeros(len(H), dtype=bool)
     for i in range(len(H)):
         yi = _cholesky_solve(H[i], b[i])

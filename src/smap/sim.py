@@ -31,7 +31,7 @@ from .filters import (
     indicator,
     smap_update,
 )
-from .linalg import not_positive_definite, solve_spd_stack
+from .linalg import all_finite, not_positive_definite, solve_spd_stack
 from .robustness import (
     DivergenceMonitorRecord,
     GlobalRobustnessReport,
@@ -40,6 +40,7 @@ from .robustness import (
     expands,
     global_accumulate,
     local_check,
+    zero_energy,
 )
 
 SMAP = "smap"
@@ -48,10 +49,12 @@ AP = "ap"
 _CAL_SAMPLES = 10_000  # warm stretch used for the one-shot power calibration
 _CAL_SKIP = 500  # transient discarded before measuring
 
-# Runs that run_monte_carlo steps together.  Each run of a block holds its
-# padded input, reference and noise series, so peak memory grows with
-# _BLOCK_RUNS * iterations, not with the run count.
+# Runs that run_monte_carlo steps together, and time steps per chunk of such
+# a block.  Each run of a block holds its padded input, reference and noise
+# series, so peak memory grows with _BLOCK_RUNS * iterations, not with the
+# run count; a chunk's Gram matrices and log, with _BLOCK_RUNS * _CHUNK_STEPS.
 _BLOCK_RUNS = 64
+_CHUNK_STEPS = 64
 
 __all__ = [
     "SMAP",
@@ -383,13 +386,16 @@ def run_monte_carlo(config: ScenarioConfig, algorithm: str, runs: int) -> MonteC
     seed that replay it.
 
     The runs are advanced in lockstep, in blocks of ``_BLOCK_RUNS``, so
-    peak memory grows with the block, not with ``runs``.  Each time step
-    handles every run of a block at once; each run whose gate fires gets
-    one Cholesky factorization of its regularized Gram matrix, which
-    serves both the update and the energy check.  Every check of
-    ``run_single`` applies, and the ``SmapError`` it would raise reads
-    ``run r (seed s): iteration k: ...``, naming the lowest failing run
-    at the first failing step of the first failing block.
+    peak memory grows with the block, not with ``runs``.  A block walks
+    time in chunks of ``_CHUNK_STEPS`` steps.  One stacked product builds
+    the regularized Gram matrices of every run and step of a chunk; each
+    run whose gate fires gets one Cholesky factorization of its matrix,
+    which serves both the update and the energy check; and the energy
+    terms, which never feed back into the recursion, are folded in one
+    pass at the end of the chunk.  Every check of ``run_single`` applies,
+    and the ``SmapError`` it would raise reads ``run r (seed s):
+    iteration k: ...``, naming the lowest failing run at the first
+    failing step of the first failing block.
 
     Products go through the same numpy loops as in ``run_single``, solves
     through the same LAPACK calls (``dpotrf``, ``dpotrs``), and squared
@@ -462,71 +468,95 @@ def _lockstep_block(
     errors = np.empty((K, R))
     noise_energy = np.zeros(R)
     every = np.arange(R)
-    for k in range(K):
-        s = K - 1 - k
-        Xt = inputs[:, s : s + m]  # (R, m, N); row j is the input vector j steps back
-        e = ds[:, s : s + m] - (Xt @ w[:, :, None])[:, :, 0]
-        e0 = e[:, 0]
-        errors[k] = e0
+    for k0 in range(0, K, _CHUNK_STEPS):
+        k1 = min(K, k0 + _CHUNK_STEPS)
+        # Products are taken over the strided windows of every run, never
+        # over gathered copies: numpy then runs the same unblocked loops
+        # as it does on run_single's windows, so that, with solve_spd's
+        # LAPACK calls for the solves, each run follows run_single's
+        # trajectory to the bit.  grams[:, k1-1-k] belongs to step k.
+        chunk = sliding_window_view(inputs[:, K - k1 : K - k0 + L], m, axis=1)
+        grams = chunk.transpose(0, 1, 3, 2) @ chunk
+        if delta != 0.0:
+            grams += delta * np.eye(m)
+        log = []  # (step, rows, noise windows, cv, solutions, coefficients before)
         failed: dict[int, SmapError] = {}
-        if not ap and not np.isfinite(e0).all():  # the gate's check; AP has no gate
-            _record(failed, every, lambda r: indicator(e0[r], gamma_bar))
-        rows = every if ap else np.flatnonzero(np.abs(e0) > gamma_bar)
-        if rows.size:
-            sel = slice(None) if rows.size == R else rows
-            updates[sel] += 1
-            ef, nf = e[sel], ns[sel, s : s + m]
-            if ap:
-                cv = np.zeros_like(ef)
-            elif strategy.kind == CUSTOM:
-                cv = np.zeros_like(ef)
+        for k in range(k0, k1):
+            s = K - 1 - k
+            Xt = inputs[:, s : s + m]  # (R, m, N); row j is the input vector j steps back
+            e = ds[:, s : s + m] - (Xt @ w[:, :, None])[:, :, 0]
+            e0 = e[:, 0]
+            errors[k] = e0
+            if not ap and not all_finite(e0):  # the gate's check; AP has no gate
+                _record(failed, every, lambda r: indicator(e0[r], gamma_bar))
+            rows = every if ap else (np.abs(e0) > gamma_bar).nonzero()[0]
+            if rows.size:
+                sel = slice(None) if rows.size == R else rows
+                ef, nf = e[sel], ns[sel, s : s + m]
+                if ap:
+                    cv = np.zeros(ef.shape)
+                elif strategy.kind == CUSTOM:
+                    cv = np.zeros(ef.shape)
 
-                def custom_row(i: int) -> None:
-                    cv[i] = make_cv(strategy, ef[i], nf[i], gamma_bar, enforce_bound=False)
+                    def custom_row(i: int) -> None:
+                        cv[i] = make_cv(strategy, ef[i], nf[i], gamma_bar, enforce_bound=False)
 
-                _record(failed, rows, custom_row)
-            else:
-                cv = make_cv(strategy, ef, nf, gamma_bar, enforce_bound=False)
-            if k < L:
-                cv[:, k + 1 :] = 0.0  # padded lags stay neutral, as in run_single
-            if relaxed:
-                relaxations[sel] += ~satisfies_bound(cv, gamma_bar)
-            elif not ap:
-                try:
-                    check_cv_bound(cv, gamma_bar)
-                except ConstraintBoundError:
-                    _record(failed, rows, lambda i: check_cv_bound(cv[i], gamma_bar))
-            # Products are taken over the strided windows of every run, never
-            # over gathered copies: numpy then runs the same unblocked loops
-            # as it does on run_single's windows, so that, with solve_spd's
-            # LAPACK calls for the solves, each run follows run_single's
-            # trajectory to the bit.  The update and the energy check share
-            # one factorization per row.
-            G = (Xt @ Xt.transpose(0, 2, 1))[sel]
-            sols, singular = solve_spd_stack(G, np.stack((ef - cv, nf, cv), axis=2), delta)
-            for i in np.flatnonzero(singular):
-                failed.setdefault(int(rows[i]), not_positive_definite(delta))
-            y = np.zeros((R, m))
-            y[sel] = sols[:, :, 0]
-            move = (y[:, None, :] @ Xt)[sel, 0]
-            if ap:
-                move *= config.ap_step
-            w_new = w[sel] + move
-            if not np.isfinite(w_new).all():
-                _record(failed, rows, lambda i: FilterState(w_new[i]))
+                    _record(failed, rows, custom_row)
+                else:
+                    cv = make_cv(strategy, ef, nf, gamma_bar, enforce_bound=False)
+                if k < L:
+                    cv[:, k + 1 :] = 0.0  # padded lags stay neutral, as in run_single
+                if relaxed:
+                    relaxations[sel] += ~satisfies_bound(cv, gamma_bar)
+                elif not ap:
+                    try:
+                        check_cv_bound(cv, gamma_bar)
+                    except ConstraintBoundError:
+                        _record(failed, rows, lambda i: check_cv_bound(cv[i], gamma_bar))
+                b = np.empty(ef.shape + (3,))
+                b[:, :, 0], b[:, :, 1], b[:, :, 2] = ef - cv, nf, cv
+                sols, singular = solve_spd_stack(grams[sel, k1 - 1 - k], b)
+                for i in singular.nonzero()[0]:
+                    failed.setdefault(int(rows[i]), not_positive_definite(delta))
+                if rows.size == R:  # no gathers, and w is replaced, not written to
+                    y, before = sols[:, :, 0], w
+                else:
+                    y, before = np.zeros((R, m)), w[rows]
+                    y[rows] = sols[:, :, 0]
+                move = (y[:, None, :] @ Xt)[sel, 0]
+                if ap:
+                    move *= config.ap_step
+                w_new = before + move
+                if not all_finite(w_new):
+                    _record(failed, rows, lambda i: FilterState(w_new[i]))
+                log.append((k, rows, nf, cv, sols, before))
+                if rows.size == R:
+                    w = w_new
+                else:
+                    w[rows] = w_new
+            if failed:
+                break
+        if log:
+            # The energy terms never feed back into the recursion, so each
+            # chunk folds them in one pass, before any failure is raised.
+            steps, hits, nfs, cvs, solss, befores = zip(*log)
+            hit, nf, cv, sols = map(np.concatenate, (hits, nfs, cvs, solss))
             noise_quad = np.einsum("ij,ij->i", nf, sols[:, :, 1])
-            if not noise_quad.all():
-                # a zero noise term leaves g2 = misalignment, which may vanish too
-                _record(failed, rows, lambda i: local_check(
-                    w0[rows[i]], FilterState(w[rows[i]]), FilterState(w_new[i]),
-                    DataWindow(Xt[rows[i]].T, ds[rows[i], s : s + m], nf[i]), cv[i], True, delta,
-                ))
-            noise_energy[sel] += noise_quad
-            if not ap:
-                lhs = np.einsum("ij,ij->i", cv, sols[:, :, 2])
-                rhs = 2.0 * np.einsum("ij,ij->i", cv, sols[:, :, 1])
-                violations[sel] += expands(lhs, rhs)
-            w[sel] = w_new
+            lhs = np.einsum("ij,ij->i", cv, sols[:, :, 2])
+            rhs = 2.0 * np.einsum("ij,ij->i", cv, sols[:, :, 1])
+            updates += np.bincount(hit, minlength=R)
+            violations += np.bincount(hit[expands(lhs, rhs)], minlength=R)
+            noise_energy += np.bincount(hit, noise_quad, R)
+            # local_check's last test: g2 = misalignment + noise term may vanish
+            zero = (noise_quad == 0.0).nonzero()[0]
+            if zero.size:
+                wt = w0[hit[zero]] - np.concatenate(befores)[zero]
+                zero = zero[np.einsum("ij,ij->i", wt, wt) == 0.0]
+                at = np.repeat(steps, list(map(len, hits)))[zero]
+                if at.size and (not failed or at[0] < k):
+                    failed, k = {}, int(at[0])
+                for r in hit[zero][at == k]:
+                    failed.setdefault(int(r), zero_energy())
         if failed:
             r = min(failed)
             raise SimulationError(

@@ -84,6 +84,21 @@ def test_gram_rejects_bad_input(bad):
         gram(bad)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_gram_rejects_non_finite_entries_anywhere(bad):
+    for index in np.ndindex(4, 3):
+        X = np.ones((4, 3))
+        X[index] = bad
+        with pytest.raises(InvalidInputError, match="must be finite"):
+            gram(X)
+
+
+def test_gram_accepts_finite_data_whose_sum_overflows():
+    X = np.array([[1e308, 1.0], [1e308, 0.0]])
+    with np.errstate(over="ignore"):
+        npt.assert_array_equal(gram(X), X.T @ X)
+
+
 def test_solve_identity():
     npt.assert_array_equal(solve_spd(np.eye(3), np.arange(3.0)), np.arange(3.0))
 

@@ -1,6 +1,7 @@
 """Tests for signal generation and the experiment driver."""
 
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -276,6 +277,37 @@ class TestMonteCarlo:
         npt.assert_array_equal(blocked.update_rates, whole.update_rates)
         npt.assert_array_equal(blocked.violation_counts, whole.violation_counts)
 
+    @pytest.mark.parametrize("iterations", [0, 60, 63, 130])
+    @pytest.mark.parametrize("case", ["fixed", "sccv", "noise", "ap:0.9"])
+    def test_chunk_seams_leave_the_ensemble_unchanged(self, monkeypatch, case, iterations):
+        # 130 steps cross the default chunk seam too; 63 ends on a seam of 7
+        kwargs = ENSEMBLE_CASES[case]
+        algorithm = AP if "ap_step" in kwargs else SMAP
+        config = ScenarioConfig(iterations=iterations, seed=3, **kwargs)
+        whole = run_monte_carlo(config, algorithm, 4)
+        monkeypatch.setattr(sim, "_CHUNK_STEPS", 7)
+        chunked = run_monte_carlo(config, algorithm, 4)
+        for name in ("mse_curve", "update_rates", "violation_counts", "cv_relaxations"):
+            npt.assert_array_equal(getattr(chunked, name), getattr(whole, name))
+        _assert_lockstep_matches_run_single(config, algorithm, 4)
+
+    def test_chunk_buffers_do_not_grow_with_iterations(self):
+        # Only the block's series (input, reference, noise, errors and
+        # squared errors, R x K each) may grow with K; a per-chunk log or
+        # Gram buffer kept for the whole run would add tens of megabytes.
+        runs, short, long = 64, 1000, 8000
+
+        def peak(iterations: int) -> int:
+            tracemalloc.start()
+            try:
+                run_monte_carlo(ScenarioConfig(iterations=iterations), SMAP, runs)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        series = 5 * runs * (long - short) * 8
+        assert peak(long) - peak(short) <= 1.1 * series
+
     def test_single_run_matches_run_single(self):
         config = ScenarioConfig(iterations=150, seed=6)
         summary = run_monte_carlo(config, SMAP, runs=1)
@@ -336,6 +368,30 @@ class TestMonteCarlo:
         step, run = min(replays)
         assert run > 0
         assert str(ensemble.value) == f"run {run} (seed {seed}): {replays[(step, run)]}"
+
+    def test_zero_energy_step_fails_as_in_run_single(self, monkeypatch):
+        # a zero system and zero noise leave the baseline's first step with
+        # neither misalignment nor noise energy, which local_check rejects
+        def silent(config, w0, rng):
+            x, d, n = generate_signals(config, w0, rng)
+            return x, d - n, np.zeros_like(n)
+
+        monkeypatch.setattr(sim, "generate_system", lambda num_taps, rng: np.zeros(num_taps))
+        monkeypatch.setattr(sim, "generate_signals", silent)
+        config = ScenarioConfig(iterations=10, seed=4, ap_step=0.5)
+        with pytest.raises(SimulationError, match="iteration 0: misalignment") as single:
+            run_single(config, AP, run_rng(4, 0))
+        with pytest.raises(SimulationError) as ensemble:
+            run_monte_carlo(config, AP, 3)
+        assert str(ensemble.value) == f"run 0 (seed 4): {single.value}"
+
+    @pytest.mark.parametrize("fault", ["out-of-band", "wrong-shape"])
+    @pytest.mark.parametrize("chunk", [1, 2])
+    def test_later_run_failure_replays_across_chunk_seams(self, monkeypatch, chunk, fault):
+        # the failure comes at iteration 1: after a flush with one step per
+        # chunk, at the last step of the first chunk with two
+        monkeypatch.setattr(sim, "_CHUNK_STEPS", chunk)
+        self.test_later_run_failure_replays_with_run_single(fault)
 
 
 class TestSteadyState:
