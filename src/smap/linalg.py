@@ -75,23 +75,20 @@ def solve_spd(G: np.ndarray, b: np.ndarray, delta: float = 0.0) -> np.ndarray:
     return y
 
 
-def solve_spd_stack(
-    G: np.ndarray, b: np.ndarray, delta: float = 0.0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Solve ``(G[i] + delta*I) y[i] = b[i]`` for each system of a stack.
+def solve_spd_stack(G: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve ``G[i] y[i] = b[i]`` for each system of a stack.
 
-    ``G`` has shape ``(R, m, m)`` and ``b`` shape ``(R, m)`` or
-    ``(R, m, c)``.  Returns the solutions, shaped like ``b``, and a
-    boolean flag per system that is true where ``G[i] + delta*I`` is not
-    positive definite; ``y[i]`` is zero there, and the other systems are
-    solved all the same.  Inputs are not validated; ``solve_spd`` is the
-    checked entry point for one system.
+    ``G`` has shape ``(R, m, m)``, with any regularization already on its
+    diagonal, and ``b`` shape ``(R, m)`` or ``(R, m, c)``.  Returns the
+    solutions, shaped like ``b``, and a boolean flag per system that is
+    true where ``G[i]`` is not positive definite; ``y[i]`` is zero there,
+    and the other systems are solved all the same.  Inputs are not
+    validated; ``solve_spd`` is the checked entry point for one system.
     """
-    H = G if delta == 0.0 else G + delta * np.eye(G.shape[-1])
     y = np.zeros(b.shape)
-    singular = np.zeros(len(H), dtype=bool)
-    for i in range(len(H)):
-        yi = _cholesky_solve(H[i], b[i])
+    singular = np.zeros(len(G), dtype=bool)
+    for i in range(len(G)):
+        yi = _cholesky_solve(G[i], b[i])
         if yi is None:
             singular[i] = True
         else:

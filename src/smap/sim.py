@@ -262,20 +262,34 @@ def run_rng(seed: int, run_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(run_index,)))
 
 
-def _padded_regressors(
-    x: np.ndarray, d: np.ndarray, n: np.ndarray, num_taps: int, reuse: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Tap-delay rows plus ``reuse`` leading zero rows for the window lookback."""
-    K = x.size
-    U = np.zeros((K, num_taps))
-    for i in range(min(num_taps, K)):
-        U[i:, i] = x[: K - i]
-    pad = np.zeros((reuse, num_taps))
-    return (
-        np.vstack([pad, U]),
-        np.concatenate([np.zeros(reuse), d]),
-        np.concatenate([np.zeros(reuse), n]),
-    )
+def _series(
+    config: ScenarioConfig, rngs: list[np.random.Generator]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Draw one system and signal set per generator, laid out as both engines read them.
+
+    Returns ``w0``, one row per run, and the views ``inputs``, ``d`` and
+    ``n``.  At step ``k`` the entries ``[r, s + j]`` with ``s = K-1-k``
+    hold run ``r``'s input vector, reference and noise sample ``j`` steps
+    back, and zeros before the start of the run.  Inputs are stored
+    newest sample first and windowed by a strided view; reference and
+    noise are stored oldest first behind ``L`` zeros and read reversed
+    (with positive strides, ``local_check``'s noise dot product would go
+    to BLAS and round differently).  Both engines take their products
+    over these views, so numpy runs the same loops for both at every
+    filter length.
+    """
+    K, N, L = config.iterations, config.num_taps, config.reuse
+    R = len(rngs)
+    xs = np.zeros((R, K + L + N))  # one spare zero keeps a window at K = L = 0
+    ds = np.zeros((R, L + K))
+    ns = np.zeros((R, L + K))
+    w0 = np.empty((R, N))
+    for r, rng in enumerate(rngs):
+        w0[r] = generate_system(N, rng)
+        x, ds[r, L:], ns[r, L:] = generate_signals(config, w0[r], rng)
+        xs[r, :K] = x[::-1]
+    # inputs[r, i] = xs[r, i:i+N], a view
+    return w0, sliding_window_view(xs, N, axis=1), ds[:, ::-1], ns[:, ::-1]
 
 
 def _check_algorithm(config: ScenarioConfig, algorithm: str) -> None:
@@ -305,9 +319,7 @@ def run_single(
     _check_algorithm(config, algorithm)
     K = config.iterations
     L = config.reuse
-    w0 = generate_system(config.num_taps, rng)
-    x, d, n = generate_signals(config, w0, rng)
-    Upad, dpad, npad = _padded_regressors(x, d, n, config.num_taps, L)
+    w0, inputs, d, n = (a[0] for a in _series(config, [rng]))
     state = FilterState.zeros(config.num_taps)
     misalignment = np.empty(K + 1)
     misalignment[0] = float(w0 @ w0)
@@ -322,11 +334,8 @@ def run_single(
     k = -1
     try:
         for k in range(K):
-            window = DataWindow(
-                Upad[k : k + L + 1][::-1].T,
-                dpad[k : k + L + 1][::-1],
-                npad[k : k + L + 1][::-1],
-            )
+            s = K - 1 - k
+            window = DataWindow(inputs[s : s + L + 1].T, d[s : s + L + 1], n[s : s + L + 1])
             prev = state
             if algorithm == AP:
                 errors[k] = error_vector(prev, window)[0]
@@ -397,18 +406,15 @@ def run_monte_carlo(config: ScenarioConfig, algorithm: str, runs: int) -> MonteC
     iteration k: ...``, naming the lowest failing run at the first
     failing step of the first failing block.
 
-    Products go through the same numpy loops as in ``run_single``, solves
-    through the same LAPACK calls (``dpotrf``, ``dpotrs``), and squared
-    errors are summed in run order.  So with up to 15 taps and a reuse
-    factor up to 9 (every such shape was checked) each run follows its
-    ``run_single`` trajectory to the bit: ``mse_curve`` equals the average
-    of the ``run_single`` curves and the per-run rates and counts match.
-    From 16 taps on, BLAS may round ``run_single``'s 2-D Gram product and
-    the stacked one differently in the last bit; tests bound the
-    ``mse_curve`` gap at 1e-6 relative, with equal counts.  The energy
-    check's quadratic forms are summed in another order, which could
-    move a step's classification only at the edge of the
-    ``PRESERVE_RTOL`` tie band.
+    Both engines read the runs' data from one store, so products go
+    through the same numpy loops as in ``run_single`` at every filter
+    length; solves go through the same LAPACK calls (``dpotrf``,
+    ``dpotrs``), and squared errors are summed in run order.  So each run
+    follows its ``run_single`` trajectory to the bit: ``mse_curve``
+    equals the average of the ``run_single`` curves and the per-run rates
+    and counts match.  The energy check's quadratic forms are summed in
+    another order, which could move a step's classification only at the
+    edge of the ``PRESERVE_RTOL`` tie band.
     A custom constraint rule is called once per firing run and step, in
     run order within each step, so a rule that keeps state sees a
     different call order than under ``run_single``.
@@ -452,18 +458,8 @@ def _lockstep_block(
     ap = algorithm == AP
     relaxed = not ap and strategy.kind == NOISE
     updates, violations, relaxations = counts
-    # Series are stored newest sample first with zeros behind the start of
-    # the run, so at step k the window of lag j starts at index K-1-k+j.
-    xs = np.zeros((R, K + N + L - 1))
-    ds = np.zeros((R, K + L))
-    ns = np.zeros((R, K + L))
-    w0 = np.empty((R, N))
-    for r in range(R):
-        rng = run_rng(config.seed, first + r)
-        w0[r] = generate_system(N, rng)
-        x, d, n = generate_signals(config, w0[r], rng)
-        xs[r, :K], ds[r, :K], ns[r, :K] = x[::-1], d[::-1], n[::-1]
-    inputs = sliding_window_view(xs, N, axis=1)  # a view: inputs[r, i] = xs[r, i:i+N]
+    # at step k the window of lag j sits at index K-1-k+j of each series
+    w0, inputs, ds, ns = _series(config, [run_rng(config.seed, r) for r in range(first, stop)])
     w = np.zeros((R, N))
     errors = np.empty((K, R))
     noise_energy = np.zeros(R)

@@ -163,7 +163,7 @@ def test_solves_match_cho_solve_to_the_bit(rng, delta):
     for m in range(1, 10):
         G = np.stack([gram(rng.standard_normal((m + 3, m))) for _ in range(4)])
         for b in (rng.standard_normal((4, m)), rng.standard_normal((4, m, 3))):
-            sols, singular = solve_spd_stack(G, b, delta)
+            sols, singular = solve_spd_stack(G + delta * np.eye(m), b)
             assert not singular.any()
             for Gi, bi, sol in zip(G, b, sols):
                 expected = cho_solve(cho_factor(Gi + delta * np.eye(m), lower=True), bi)

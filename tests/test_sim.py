@@ -11,6 +11,7 @@ import pytest
 from smap import sim
 from smap.constraints import custom_cv, fixed_cv, noise_cv, sc_cv, zero_cv
 from smap.errors import InvalidInputError, SimulationError
+from smap.filters import DataWindow
 from smap.sim import (
     AP,
     SMAP,
@@ -129,6 +130,33 @@ class TestRunSingle:
         assert trace.global_report.ratio == 1.0
         assert trace.update_rate == 0.0
 
+    @pytest.mark.parametrize("num_taps,reuse", [(1, 0), (3, 2), (10, 2), (12, 9)])
+    def test_windows_are_zero_padded_tap_delay_lines(self, monkeypatch, num_taps, reuse):
+        # the engines share one store, so check it against the raw signals:
+        # every window, the warm-up steps k < L included, exactly
+        windows = []
+
+        def record(X, d, n):
+            windows.append((X, d, n))
+            return DataWindow(X, d, n)
+
+        monkeypatch.setattr(sim, "DataWindow", record)
+        config = ScenarioConfig(iterations=30, num_taps=num_taps, reuse=reuse, seed=3)
+        run_single(config, SMAP, run_rng(3, 0))
+        rng = run_rng(3, 0)
+        x, d, n = generate_signals(config, generate_system(num_taps, rng), rng)
+
+        def past(series, k):
+            return series[k] if k >= 0 else 0.0
+
+        assert len(windows) == config.iterations
+        lags = range(reuse + 1)
+        for k, (X, dk, nk) in enumerate(windows):
+            taps = [[past(x, k - j - i) for j in lags] for i in range(num_taps)]
+            npt.assert_array_equal(X, taps)
+            npt.assert_array_equal(dk, [past(d, k - j) for j in lags])
+            npt.assert_array_equal(nk, [past(n, k - j) for j in lags])
+
     def test_bitwise_reproducible(self):
         config = ScenarioConfig(iterations=200, seed=42)
         first = run_single(config, SMAP, run_rng(42, 0))
@@ -223,12 +251,8 @@ ENSEMBLE_CASES = {
 }
 
 
-def _assert_lockstep_matches_run_single(config, algorithm, runs, rtol=0.0):
-    """The lockstep engine against the scalar reference, run by run.
-
-    Rates and counts must match exactly, and ``mse_curve`` within ``rtol``
-    of the average of the ``run_single`` curves (to the bit by default).
-    """
+def _assert_lockstep_matches_run_single(config, algorithm, runs):
+    """The lockstep engine against the scalar reference, run by run, to the bit."""
     summary = run_monte_carlo(config, algorithm, runs)
     traces = [run_single(config, algorithm, run_rng(config.seed, i)) for i in range(runs)]
     npt.assert_array_equal(summary.update_rates, [t.update_rate for t in traces])
@@ -236,14 +260,12 @@ def _assert_lockstep_matches_run_single(config, algorithm, runs, rtol=0.0):
         summary.violation_counts, [t.global_report.condition_violations for t in traces]
     )
     npt.assert_array_equal(summary.cv_relaxations, [t.cv_relaxations for t in traces])
-    npt.assert_allclose(
-        summary.mse_curve, sum(t.squared_error for t in traces) / runs, rtol=rtol, atol=0.0
-    )
+    npt.assert_array_equal(summary.mse_curve, sum(t.squared_error for t in traces) / runs)
 
 
 class TestMonteCarlo:
     @pytest.mark.parametrize(
-        "reuse,num_taps", [(0, 3), (2, 3), (0, 10), (2, 10), (4, 10), (5, 12)]
+        "reuse,num_taps", [(0, 3), (2, 3), (0, 10), (2, 10), (4, 10), (5, 12), (2, 20), (8, 64)]
     )
     @pytest.mark.parametrize("case", list(ENSEMBLE_CASES))
     def test_lockstep_matches_run_single(self, case, reuse, num_taps):
@@ -254,19 +276,6 @@ class TestMonteCarlo:
                 iterations=150, num_taps=num_taps, reuse=reuse, seed=seed, **kwargs
             )
             _assert_lockstep_matches_run_single(config, algorithm, 4)
-
-    @pytest.mark.parametrize("reuse,num_taps", [(2, 20), (8, 64)])
-    def test_lockstep_drift_is_bounded_for_long_filters(self, reuse, num_taps):
-        # From 16 taps on, BLAS may round the 2-D Gram product of run_single
-        # and the stacked one of the ensemble differently in the last bit;
-        # the drift stays far below what would move a gate or a label.
-        for seed in range(4):
-            for strategy in (fixed_cv(), sc_cv()):
-                config = ScenarioConfig(
-                    iterations=150, num_taps=num_taps, reuse=reuse, seed=seed,
-                    cv_strategy=strategy,
-                )
-                _assert_lockstep_matches_run_single(config, SMAP, 3, rtol=1e-6)
 
     def test_blocks_join_in_run_order(self, monkeypatch):
         config = ScenarioConfig(iterations=60, seed=8, cv_strategy=sc_cv())
@@ -294,8 +303,10 @@ class TestMonteCarlo:
     def test_chunk_buffers_do_not_grow_with_iterations(self):
         # Only the block's series (input, reference, noise, errors and
         # squared errors, R x K each) may grow with K; a per-chunk log or
-        # Gram buffer kept for the whole run would add tens of megabytes.
-        runs, short, long = 64, 1000, 8000
+        # Gram buffer kept for the whole run would grow 3 to 7 times as
+        # fast, whatever R and K.  tracemalloc slows every allocation, so
+        # the pair is kept small.
+        runs, short, long = 16, 250, 2000
 
         def peak(iterations: int) -> int:
             tracemalloc.start()
@@ -327,6 +338,12 @@ class TestMonteCarlo:
         )
         npt.assert_allclose(summary.mse_curve, manual, rtol=1e-15)
         assert summary.runs == 3
+
+    def test_zero_iterations_without_reuse(self):
+        # neither steps nor padded lags, yet the store must still hold a window
+        config = ScenarioConfig(iterations=0, reuse=0)
+        assert run_monte_carlo(config, SMAP, 2).mse_curve.shape == (0,)
+        assert run_single(config, SMAP, run_rng(0, 0)).errors.shape == (0,)
 
     def test_rejects_bad_run_count(self):
         config = ScenarioConfig(iterations=30)
