@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import csv
 import io
+import operator
 import os
 import sys
 import tempfile
@@ -86,11 +87,8 @@ class OutputBundle:
 
     @property
     def paths(self) -> tuple[Path, ...]:
-        return tuple(
-            p
-            for p in (self.trace_csv_path, self.mse_csv_path, self.summary_text_path)
-            if p is not None
-        )
+        paths = (self.trace_csv_path, self.mse_csv_path, self.summary_text_path)
+        return tuple(p for p in paths if p is not None)
 
 
 @dataclass(frozen=True, slots=True)
@@ -121,12 +119,12 @@ def _column(values) -> list[str]:
     return list(map(repr, np.asarray(values, dtype=float).tolist()))
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    """Write the full text, then move it into place in one step."""
+def _atomic_write(path: Path, chunks) -> None:
+    """Write the text chunks in turn, then move the file into place in one step."""
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -134,12 +132,14 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def _csv_text(header: list[str], rows) -> str:
+def _csv_lines(header: list[str], rows):
+    """The header as ``csv`` writes it, then each row of formatted numbers,
+    which need no quoting, joined by commas as it is written."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+    csv.writer(buf, lineterminator="\n").writerow(header)
+    yield buf.getvalue()
+    for row in rows:
+        yield ",".join(row) + "\n"
 
 
 def _config_lines(config: ScenarioConfig, algorithm: str) -> list[str]:
@@ -164,9 +164,9 @@ def write_run_outputs(
     out_dir.mkdir(parents=True, exist_ok=True)
     recs = trace.local_records
     rows = zip(
-        range(trace.errors.size),
+        map(str, range(trace.errors.size)),
         _column(trace.errors),
-        trace.update_flags.astype(int).tolist(),
+        map(str, trace.update_flags.astype(int).tolist()),
         _column([rec.g1 for rec in recs]),
         _column([rec.g2 for rec in recs]),
         [rec.classification for rec in recs],
@@ -176,7 +176,7 @@ def write_run_outputs(
         _column([div.max_abs_posterior for div in trace.divergence_records]),
     )
     trace_path = out_dir / "trace.csv"
-    _atomic_write(trace_path, _csv_text(TRACE_HEADER, rows))
+    _atomic_write(trace_path, _csv_lines(TRACE_HEADER, rows))
     report = trace.global_report
     updates = int(trace.update_flags.sum())
     lines = ["command: run", *_config_lines(config, algorithm)]
@@ -190,7 +190,7 @@ def write_run_outputs(
         f"steady-state-mse-db: {_fmt(steady_state_db(trace.squared_error))}",
     ]
     summary_path = out_dir / "summary.txt"
-    _atomic_write(summary_path, "\n".join(lines) + "\n")
+    _atomic_write(summary_path, ["\n".join(lines) + "\n"])
     return OutputBundle(trace_csv_path=trace_path, summary_text_path=summary_path)
 
 
@@ -203,9 +203,9 @@ def write_mc_outputs(
     out_dir.mkdir(parents=True, exist_ok=True)
     labels = [label for label, _, _, _ in results]
     iters = results[0][3].mse_curve.size
-    rows = zip(range(iters), *(_column(summary.mse_curve) for _, _, _, summary in results))
+    rows = zip(map(str, range(iters)), *(_column(s.mse_curve) for *_, s in results))
     mse_path = out_dir / "mse.csv"
-    _atomic_write(mse_path, _csv_text(["k"] + labels, rows))
+    _atomic_write(mse_path, _csv_lines(["k"] + labels, rows))
     lines = ["command: mc", f"runs: {runs}"]
     for label, config, algorithm, summary in results:
         lines.append("")
@@ -218,7 +218,7 @@ def write_mc_outputs(
             f"steady-state-mse-db: {_fmt(summary.steady_state_mse_db)}",
         ]
     summary_path = out_dir / "summary.txt"
-    _atomic_write(summary_path, "\n".join(lines) + "\n")
+    _atomic_write(summary_path, ["\n".join(lines) + "\n"])
     return OutputBundle(mse_csv_path=mse_path, summary_text_path=summary_path)
 
 
@@ -239,12 +239,14 @@ def verify_update_against_kkt(
         raise InvalidInputError(
             f"largest reuse factor must lie in [0, {num_taps - 1}], got {max_reuse}"
         )
-    rng = np.random.default_rng(seed)
-    max_update = 0.0
-    max_post = 0.0
-    max_resid = 0.0
-    worst_gap = -1.0
-    worst_index = -1
+    try:
+        rng = np.random.default_rng(operator.index(seed))
+    except (TypeError, ValueError):  # a float seed, or a negative one
+        raise InvalidInputError(
+            f"seed must be a nonnegative integer, got {seed!r}", field="seed"
+        ) from None
+    max_update = max_post = max_resid = 0.0
+    worst_gap, worst_index = -1.0, -1
     produced = 0
     while produced < instances:
         reuse = produced % (max_reuse + 1)
@@ -271,8 +273,7 @@ def verify_update_against_kkt(
         max_resid = max(max_resid, resid)
         combined = max(update_gap, post_gap, resid)
         if combined > worst_gap:
-            worst_gap = combined
-            worst_index = produced
+            worst_gap, worst_index = combined, produced
         produced += 1
     return VerifyResult(instances, max_update, max_post, max_resid, worst_index)
 

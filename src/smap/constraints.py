@@ -120,7 +120,7 @@ def make_cv(
         # Trailing components are the windowed errors clipped into the
         # band.  With exact posteriors they already sit inside; clipping
         # absorbs the leakage regularized steps leave behind.
-        cv = np.clip(prior, -gamma_bar, gamma_bar)
+        cv = np.minimum(np.maximum(prior, -gamma_bar), gamma_bar)  # np.clip, bit for bit
         cv[..., 0] = gamma_bar * np.sign(prior[..., 0])
         return cv
     if strategy.kind == NOISE:

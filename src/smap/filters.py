@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConstraintBoundError, InvalidInputError
-from .linalg import gram, solve_spd
+from .linalg import all_finite, gram, solve_spd
 
 # Classification labels shared by the energy records and the trace CSV.
 CONTRACT = "contract"
@@ -57,7 +57,7 @@ class FilterState:
         w = np.asarray(self.w, dtype=float)
         if w.ndim != 1 or w.size == 0:
             raise InvalidInputError(f"coefficients must be a non-empty vector, got shape {w.shape}")
-        if not np.all(np.isfinite(w)):
+        if not all_finite(w):
             raise InvalidInputError("coefficients must be finite")
         object.__setattr__(self, "w", w)
 
@@ -144,11 +144,12 @@ def check_cv_bound(cv: np.ndarray, gamma_bar: float) -> None:
     """Reject constraint components above ``gamma_bar`` plus ``CV_BOUND_SLACK``.
 
     A NaN component fails too.  ``cv`` may be one vector or a stack of
-    them; the error names the largest magnitude in it.
+    them; the error names the largest magnitude in it.  An empty ``cv`` passes.
     """
-    if not (np.abs(cv) <= gamma_bar + CV_BOUND_SLACK).all():
+    top = np.abs(cv).max(initial=0.0)  # NaN if any component is
+    if not top <= gamma_bar + CV_BOUND_SLACK:
         raise ConstraintBoundError(
-            f"constraint magnitude {np.max(np.abs(cv)):.6g} exceeds threshold {gamma_bar:.6g}"
+            f"constraint magnitude {top:.6g} exceeds threshold {gamma_bar:.6g}"
         )
 
 

@@ -69,7 +69,10 @@ def solve_spd(G: np.ndarray, b: np.ndarray, delta: float = 0.0) -> np.ndarray:
         )
     if not delta >= 0.0:
         raise InvalidInputError(f"delta must be nonnegative, got {delta}")
-    y = _cholesky_solve(G if delta == 0.0 else G + delta * np.eye(G.shape[0]), b)
+    if delta != 0.0:  # G + delta * np.eye(m), bit for bit, signed zeros included
+        G = G + 0.0
+        G.flat[:: G.shape[0] + 1] += delta
+    y = _cholesky_solve(G, b)
     if y is None:
         raise not_positive_definite(delta)
     return y

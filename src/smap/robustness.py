@@ -130,8 +130,11 @@ def local_check(
     w0 = np.asarray(w0, dtype=float)
     wt_before = w0 - state_before.w
     wt_sq_before = float(wt_before @ wt_before)
-    wt_after = w0 - state_after.w
-    wt_sq_after = float(wt_after @ wt_after)
+    if state_after is state_before:  # a skipped step
+        wt_sq_after = wt_sq_before
+    else:
+        wt_after = w0 - state_after.w
+        wt_sq_after = float(wt_after @ wt_after)
     if not updated:
         return LocalRobustnessRecord(
             k, False, wt_sq_after, wt_sq_before, 0.0, 0.0, NO_UPDATE,
@@ -141,7 +144,8 @@ def local_check(
         raise InvalidInputError("energy check needs the noise window")
     cv = np.asarray(cv, dtype=float)
     e_tilde = window.X.T @ wt_before
-    sols = solve_spd(gram(window.X), np.stack([e_tilde, window.n, cv], axis=1), delta)
+    rhs = np.array((e_tilde, window.n, cv)).T  # Fortran order, as LAPACK solves it
+    sols = solve_spd(gram(window.X), rhs, delta)
     e_quad = float(e_tilde @ sols[:, 0])
     n_quad = float(window.n @ sols[:, 1])
     lhs = float(cv @ sols[:, 2])
@@ -205,4 +209,4 @@ def divergence_monitor(
     step is ``LocalRobustnessRecord.w_tilde_sq_after``.
     """
     posterior = window.d - window.X.T @ state_after.w
-    return DivergenceMonitorRecord(k, float(np.max(np.abs(posterior))))
+    return DivergenceMonitorRecord(k, float(np.abs(posterior).max()))

@@ -8,6 +8,7 @@ monitor attached, and averages Monte-Carlo ensembles.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -16,12 +17,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import lfilter
 
 from .constraints import CUSTOM, NOISE, ConstraintStrategy, fixed_cv, make_cv, satisfies_bound
-from .errors import (
-    ConstraintBoundError,
-    InvalidInputError,
-    SimulationError,
-    SmapError,
-)
+from .errors import ConstraintBoundError, InvalidInputError, SimulationError, SmapError
 from .filters import (
     DataWindow,
     FilterState,
@@ -94,6 +90,12 @@ class ScenarioConfig:
             if not ok:
                 raise InvalidInputError(message, field=name)
 
+        for name in ("num_taps", "reuse", "iterations", "seed"):
+            try:
+                operator.index(getattr(self, name))  # numpy integers pass, floats do not
+            except TypeError as err:
+                raise InvalidInputError(f"{name} must be an integer: {err}", field=name) from None
+        require(self.seed >= 0, "seed", f"seed must be nonnegative, got {self.seed}")
         require(self.num_taps >= 1, "num_taps", f"need at least one tap, got {self.num_taps}")
         require(
             0 <= self.reuse < self.num_taps, "reuse",
@@ -317,8 +319,7 @@ def run_single(
     counted in ``cv_relaxations``.
     """
     _check_algorithm(config, algorithm)
-    K = config.iterations
-    L = config.reuse
+    K, L = config.iterations, config.reuse
     w0, inputs, d, n = (a[0] for a in _series(config, [rng]))
     state = FilterState.zeros(config.num_taps)
     misalignment = np.empty(K + 1)
@@ -342,6 +343,7 @@ def run_single(
                 state = ap_update(prev, window, config.ap_step, config.delta)
                 cv = zero_cv
                 updated = True
+                div = divergence_monitor(state, window, k=k)
             else:
                 e = error_vector(prev, window)
                 errors[k] = e[0]
@@ -355,19 +357,21 @@ def run_single(
                     if relaxed and not satisfies_bound(cv, config.gamma_bar):
                         relaxations += 1
                 else:
-                    cv = zero_cv
+                    cv = zero_cv  # in band: smap_update need not check it
                 state, outcome = smap_update(
                     prev, window, cv, config.gamma_bar, config.delta,
-                    enforce_cv_bound=not relaxed,
+                    enforce_cv_bound=not relaxed and cv is not zero_cv,
                 )
                 updated = outcome.updated
+                # divergence_monitor's d - X.T @ w, as the update took it
+                div = DivergenceMonitorRecord(k, float(np.abs(outcome.posterior_errors).max()))
             flags[k] = updated
             record = local_check(
                 w0, prev, state, window, cv, updated, config.delta, k=k
             )
             local_records.append(record)
             misalignment[k + 1] = record.w_tilde_sq_after
-            div_records.append(divergence_monitor(state, window, k=k))
+            div_records.append(div)
     except SimulationError:
         raise
     except SmapError as err:

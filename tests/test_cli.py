@@ -8,6 +8,7 @@ import pytest
 
 from smap import filters
 from smap.cli import TRACE_HEADER, main, verify_update_against_kkt
+from smap.errors import InvalidInputError
 from smap.filters import CONTRACT, EXPAND, NO_UPDATE, PRESERVE, FilterState
 from smap.sim import SMAP, ScenarioConfig, run_rng, run_single
 
@@ -87,6 +88,9 @@ class TestRunCommand:
             ["mc", "--iters", "50", "--runs", "2", "--algos", "smap:fixed,ap:1.5"],
             ["run", "--snr-db", "4000"],
             ["run", "--snr-db", "-4000"],
+            ["run", "--seed", "-1"],
+            ["mc", "--seed", "-3", "--algos", "smap:fixed"],
+            ["verify", "--seed", "-1"],
         ],
     )
     def test_usage_errors_exit_2(self, argv, tmp_path, monkeypatch, capsys):
@@ -96,6 +100,12 @@ class TestRunCommand:
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""  # rejected before anything runs
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["run", "mc", "verify"])
+    def test_negative_seed_names_the_flag(self, command, capsys):
+        with pytest.raises(SystemExit):
+            main([command, "--seed", "-1"])
+        assert "error: argument --seed: seed must be" in capsys.readouterr().err
 
     def test_library_usage_error_shows_subcommand_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -234,3 +244,9 @@ class TestVerifyCommand:
         assert result.instances == 12
         assert result.ok
         assert 0 <= result.worst_index < 12
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_library_entry_point_rejects_bad_seeds(self, seed):
+        with pytest.raises(InvalidInputError) as exc:
+            verify_update_against_kkt(3, num_taps=4, max_reuse=1, seed=seed)
+        assert exc.value.field == "seed"

@@ -43,6 +43,20 @@ def test_sccv_clips_out_of_band_trailing_errors():
     npt.assert_allclose(cv, [GAMMA, GAMMA, -GAMMA])
 
 
+@pytest.mark.parametrize("shape", [(10,), (4, 10)])
+def test_sccv_matches_the_clip_form_to_the_bit(rng, shape):
+    specials = [np.nan, np.inf, -np.inf, -0.0, 0.0, 3.0, -3.0, GAMMA, -GAMMA]
+    prior = rng.choice(specials, size=shape) * rng.choice([1.0, 0.5, 1e-3], size=shape)
+    # every special value in a trailing position, and in the leading one
+    for values in (prior, np.resize([0.1] + specials, shape), np.resize(specials, shape)):
+        expected = np.clip(values, -GAMMA, GAMMA)
+        expected[..., 0] = GAMMA * np.sign(values[..., 0])
+        with np.errstate(invalid="ignore"):
+            got = make_cv(sc_cv(), values, None, GAMMA)
+        # bytes, so that NaN payloads and the sign of zeros count
+        assert got.tobytes() == expected.tobytes()
+
+
 def test_sccv_sign_tracks_leading_error(rng):
     for _ in range(20):
         e = rng.standard_normal(3)

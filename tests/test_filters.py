@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from smap.constrained_ls import ConstrainedLSProblem, solve_constrained
 from smap.errors import ConstraintBoundError, InvalidInputError, SingularSystemError
 from smap.filters import (
+    CV_BOUND_SLACK,
     DataWindow,
     FilterState,
     ap_update,
+    check_cv_bound,
     error_vector,
     indicator,
     smap_update,
@@ -26,6 +28,26 @@ def test_state_order_and_validation():
         FilterState(np.array([1.0, np.inf]))
     with pytest.raises(InvalidInputError):
         FilterState(np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_state_rejects_non_finite_coefficients_anywhere(bad):
+    for index in range(5):
+        w = np.ones(5)
+        w[index] = bad
+        with pytest.raises(InvalidInputError, match="must be finite"):
+            FilterState(w)
+
+
+@pytest.mark.parametrize("shape", [(4,), (3, 4)])
+def test_cv_bound_rejects_nan_in_any_position(shape):
+    for index in np.ndindex(shape):
+        cv = np.zeros(shape)
+        cv[index] = np.nan
+        with pytest.raises(ConstraintBoundError):
+            check_cv_bound(cv, GAMMA)
+    check_cv_bound(np.full(shape, GAMMA + 0.5 * CV_BOUND_SLACK), GAMMA)
+    check_cv_bound(np.zeros(0), GAMMA)  # an empty vector has nothing out of band
 
 
 def test_window_validation():
@@ -177,7 +199,8 @@ def test_non_finite_current_error_is_rejected(bad):
     with pytest.raises(InvalidInputError):
         indicator(bad, GAMMA)
     # finite data whose current error overflows: X.T @ w is inf + inf or inf - inf
-    state = FilterState(np.array([1e308, 1e308]))
+    with np.errstate(over="ignore"):  # the finiteness test's sum overflows
+        state = FilterState(np.array([1e308, 1e308]))
     sign = -1.0 if np.isnan(bad) else 1.0
     window = DataWindow(np.array([[1e10, 0.0], [sign * 1e10, 1.0]]), np.zeros(2))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(

@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.linalg import cho_factor, cho_solve
 
 from smap.errors import InvalidInputError, SingularSystemError
-from smap.linalg import gram, solve_spd, solve_spd_stack
+from smap.linalg import _cholesky_solve, gram, solve_spd, solve_spd_stack
 
 
 def loop_gram(X):
@@ -162,13 +162,21 @@ def test_solves_match_cho_solve_to_the_bit(rng, delta):
     # call the same LAPACK pair; ensembles rely on the stack matching one system
     for m in range(1, 10):
         G = np.stack([gram(rng.standard_normal((m + 3, m))) for _ in range(4)])
+        # a diagonal Gram with -0.0 off the diagonal, and right-hand sides
+        # with -0.0 entries, make the signs of zeros in the solution depend
+        # on the signs of the regularized matrix's zeros
+        G[-1] = np.where(np.eye(m, dtype=bool), G[-1], -0.0)
         for b in (rng.standard_normal((4, m)), rng.standard_normal((4, m, 3))):
+            b[-1, 1:] = -0.0
             sols, singular = solve_spd_stack(G + delta * np.eye(m), b)
             assert not singular.any()
             for Gi, bi, sol in zip(G, b, sols):
-                expected = cho_solve(cho_factor(Gi + delta * np.eye(m), lower=True), bi)
+                H = Gi + delta * np.eye(m) if delta else Gi  # what solve_spd factors
+                expected = cho_solve(cho_factor(H, lower=True), bi)
                 got = solve_spd(Gi, bi, delta)
-                npt.assert_array_equal(got, expected)
+                # bytes, not values: -0.0 == 0.0 would pass an equality test
+                assert got.tobytes() == expected.tobytes()
+                assert got.tobytes() == _cholesky_solve(H, bi).tobytes()
                 # the layout too: dot products over the columns round by it
                 assert got.strides == expected.strides
                 npt.assert_array_equal(sol, expected)

@@ -42,6 +42,19 @@ def test_skipped_step_keeps_energies_equal(rng):
     assert rec.k == 7
 
 
+@pytest.mark.parametrize("updated", [False, True])
+def test_same_state_object_gives_the_same_record(rng, updated):
+    # local_check reuses the misalignment before when state_after is state_before
+    w0 = rng.standard_normal(5)
+    state = FilterState(rng.standard_normal(5))
+    X = rng.standard_normal((5, 2))
+    window = DataWindow(X, X.T @ w0, rng.standard_normal(2))
+    cv = np.zeros(2) if not updated else rng.uniform(-0.1, 0.1, 2)
+    same = local_check(w0, state, state, window, cv, updated, 1e-12, k=3)
+    equal = local_check(w0, state, FilterState(state.w.copy()), window, cv, updated, 1e-12, k=3)
+    assert same == equal
+
+
 def test_updating_check_requires_noise(rng):
     w0 = rng.standard_normal(4)
     state = FilterState(np.zeros(4))

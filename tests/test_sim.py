@@ -12,6 +12,7 @@ from smap import sim
 from smap.constraints import custom_cv, fixed_cv, noise_cv, sc_cv, zero_cv
 from smap.errors import InvalidInputError, SimulationError
 from smap.filters import DataWindow
+from smap.robustness import divergence_monitor
 from smap.sim import (
     AP,
     SMAP,
@@ -56,12 +57,23 @@ class TestScenarioConfig:
             {"ap_step": 1.5},
             {"snr_db": 4000.0},  # reference power overflows
             {"snr_db": -4000.0},  # reference power underflows to zero
+            {"num_taps": 2.5},
+            {"reuse": 1.5},
+            {"iterations": 2.5},
+            {"seed": 1.5},
+            {"seed": -1},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(InvalidInputError) as exc:
             ScenarioConfig(**kwargs)
         assert exc.value.field == next(iter(kwargs))
+
+    def test_accepts_numpy_integers(self):
+        config = ScenarioConfig(
+            num_taps=np.int64(4), reuse=np.int32(1), iterations=np.int16(60), seed=np.uint8(3)
+        )
+        assert run_single(config, SMAP, run_rng(config.seed, 0)).errors.size == 60
 
 
 class TestSignals:
@@ -233,6 +245,28 @@ class TestRunSingle:
         trace = run_single(config, SMAP, run_rng(4, 0))
         assert trace.global_report.condition_violations == 0
         assert trace.global_report.ratio <= 1.0 + 1e-8
+
+    @pytest.mark.parametrize("case", ["fixed", "sccv", "noise", "ap:0.9"])
+    def test_divergence_records_match_the_monitor(self, monkeypatch, case):
+        # an SM-AP step's record is read off the update's posterior errors;
+        # it must be the one divergence_monitor gives, at every step
+        steps = []
+        check = sim.local_check
+
+        def spy(*args, **kwargs):
+            steps.append((args[2], args[3], kwargs["k"]))  # state after, window, k
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(sim, "local_check", spy)
+        kwargs = ENSEMBLE_CASES[case]
+        algorithm = AP if "ap_step" in kwargs else SMAP
+        config = ScenarioConfig(iterations=300, seed=13, **kwargs)
+        trace = run_single(config, algorithm, run_rng(13, 0))
+        if case == "noise":
+            assert trace.cv_relaxations > 0
+        assert 0 < trace.update_flags.sum() and len(steps) == 300
+        for (state, window, k), record in zip(steps, trace.divergence_records, strict=True):
+            assert record == divergence_monitor(state, window, k=k)
 
 
 def _halved_reversed(prior, noise_window, gamma_bar):

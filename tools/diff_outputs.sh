@@ -1,0 +1,57 @@
+#!/usr/bin/env bash
+# Compare the seeded outputs of this working tree with those of a revision.
+#
+#   tools/diff_outputs.sh REV
+#
+# Checks REV out into a temporary git worktree, runs the same smap commands
+# in both trees with the same --out-dir names, and compares trace.csv,
+# summary.txt, mse.csv and each command's stdout with diff -r.  Exits
+# nonzero on any difference, or when a command fails in either tree.  The
+# worktree is removed on exit.  The commands are those whose digests
+# tests/test_golden.py pins, and a few more.
+set -euo pipefail
+
+rev=${1:?usage: tools/diff_outputs.sh REV}
+root=$(git rev-parse --show-toplevel)
+tmp=$(mktemp -d)
+cleanup() {
+    git -C "$root" worktree remove --force "$tmp/base" 2>/dev/null || true
+    rm -rf "$tmp"
+}
+trap cleanup EXIT
+git -C "$root" worktree add --quiet --detach "$tmp/base" "$rev"
+
+commands=(
+    "run --iters 2000 --seed 4"
+    "run --iters 2000 --reuse 5 --taps 12 --seed 3"
+    "run --iters 2000 --cv sccv --seed 3"
+    "run --iters 2000 --cv noise --noise-scale 0.5 --seed 5"
+    "run --iters 1000 --mu 0.5"
+    "mc --iters 300 --runs 5 --reuse 4 --algos smap:fixed,smap:sccv,ap:0.5"
+    "run --iters 3000 --seed 5 --cv noise --noise-scale 0.5"
+    "run --iters 500 --taps 4 --reuse 0"
+    "mc --iters 300 --runs 70 --algos smap:fixed,smap:sccv,smap:noise,ap:0.9"
+    "mc --iters 300 --runs 4 --taps 20 --reuse 8 --algos smap:fixed,smap:sccv,ap:0.5"
+    "verify --instances 200"
+)
+
+# run_all TREE OUT: every command against TREE's sources, outputs under OUT
+run_all() {
+    mkdir -p "$2"
+    cd "$2"
+    local i=0 cmd
+    for cmd in "${commands[@]}"; do
+        i=$((i + 1))
+        echo "\$ smap $cmd" > "cmd$i.stdout"
+        case $cmd in
+            verify*) PYTHONPATH="$1/src" python3 -m smap $cmd >> "cmd$i.stdout" ;;
+            *) PYTHONPATH="$1/src" python3 -m smap $cmd --out-dir "cmd$i" >> "cmd$i.stdout" ;;
+        esac
+    done
+}
+
+(run_all "$tmp/base" "$tmp/out/base")
+(run_all "$root" "$tmp/out/worktree")
+cd "$tmp/out"
+diff -r base worktree
+echo "no difference in ${#commands[@]} commands against $rev"
