@@ -233,6 +233,13 @@ def verify_update_against_kkt(
     errors are compared against their target and the per-step energy
     identity is evaluated on the same step.
     """
+    counts = {"instances": instances, "num_taps": num_taps, "max_reuse": max_reuse}
+    for name, value in counts.items():
+        try:
+            operator.index(value)  # numpy integers pass, floats do not
+        except TypeError:
+            message = f"{name} must be an integer, got {value!r}"
+            raise InvalidInputError(message, field=name) from None
     if instances < 0:
         raise InvalidInputError(f"instance count must be nonnegative, got {instances}")
     if not 0 <= max_reuse < num_taps:

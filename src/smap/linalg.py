@@ -51,7 +51,7 @@ def solve_spd(G: np.ndarray, b: np.ndarray, delta: float = 0.0) -> np.ndarray:
     b : ndarray
         Right-hand side; a 2-D ``b`` is solved column by column.
     delta : float
-        Nonnegative Tikhonov term added to the diagonal before
+        Finite, nonnegative Tikhonov term added to the diagonal before
         factorizing.  With ``delta == 0`` a semidefinite ``G`` raises.
 
     Returns
@@ -67,8 +67,8 @@ def solve_spd(G: np.ndarray, b: np.ndarray, delta: float = 0.0) -> np.ndarray:
         raise InvalidInputError(
             f"right-hand side shape {b.shape} does not match system size {G.shape[0]}"
         )
-    if not delta >= 0.0:
-        raise InvalidInputError(f"delta must be nonnegative, got {delta}")
+    if not 0.0 <= delta < math.inf:  # nan fails both comparisons
+        raise InvalidInputError(f"delta must be nonnegative and finite, got {delta}")
     if delta != 0.0:  # G + delta * np.eye(m), bit for bit, signed zeros included
         G = G + 0.0
         G.flat[:: G.shape[0] + 1] += delta

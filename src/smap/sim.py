@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.signal import lfilter
+from scipy.linalg.lapack import dgttrs
 
 from .constraints import CUSTOM, NOISE, ConstraintStrategy, fixed_cv, make_cv, satisfies_bound
 from .errors import ConstraintBoundError, InvalidInputError, SimulationError, SmapError
@@ -220,11 +220,11 @@ def generate_signals(
 
     The input is a first-order autoregression whose driving noise is
     independent of the measurement noise.  Driving power starts from the
-    stationary-variance formula for the given system and is rescaled
-    once against a measured warm stretch, putting the clean reference
-    power ``snr_db`` above the noise floor.  The reference then applies
-    the unknown system to the run segment with zero initial state,
-    matching the zero-padded history the filter itself sees.
+    stationary-variance formula for the given system and is rescaled once
+    against a measured warm stretch, putting the clean reference power
+    ``snr_db`` above the noise floor.  The reference then applies the
+    unknown system to the run segment with zero initial state, matching
+    the zero-padded history the filter sees.  Both match ``lfilter`` to the bit.
 
     Returns
     -------
@@ -247,16 +247,26 @@ def generate_signals(
     total = _CAL_SAMPLES + config.iterations
     drive = rng.normal(0.0, drive_std, total)
     # the driving sample enters the recursion one step late
-    x_all = lfilter([1.0], [1.0, -a], np.concatenate(([0.0], drive[:-1])))
-    warm_output = lfilter(w0, [1.0], x_all[:_CAL_SAMPLES])
+    x_all = _ar1(np.concatenate(([0.0], drive[:-1])), a)
+    warm_output = np.convolve(w0, x_all[:_CAL_SAMPLES])[:_CAL_SAMPLES]
     measured = float(np.var(warm_output[_CAL_SKIP:]))
     if measured > 0.0:
         x_all = x_all * np.sqrt(target / measured)
     x = x_all[_CAL_SAMPLES:]
     # zero initial state: the filter starts cold too
-    clean = lfilter(w0, [1.0], x) if x.size else np.zeros(0)
+    clean = np.convolve(w0, x)[: x.size] if x.size else np.zeros(0)
     noise = rng.normal(0.0, float(np.sqrt(config.noise_variance)), config.iterations)
     return x, clean + noise, noise
+
+
+def _ar1(u: np.ndarray, a: float) -> np.ndarray:
+    """AR(1) from rest by ``dgttrs``, which rounds as ``lfilter``; BLAS banded solves fuse FMAs."""
+    n = u.size
+    ipiv = np.arange(1, n + 1, dtype=np.int32)  # no row swaps
+    y, info = dgttrs(np.full(n - 1, -a), np.ones(n), np.zeros(n - 1), np.zeros(n - 2), ipiv, u)
+    if info:
+        raise SimulationError(f"AR(1) solve failed (info={info})")
+    return y
 
 
 def run_rng(seed: int, run_index: int) -> np.random.Generator:

@@ -250,3 +250,16 @@ class TestVerifyCommand:
         with pytest.raises(InvalidInputError) as exc:
             verify_update_against_kkt(3, num_taps=4, max_reuse=1, seed=seed)
         assert exc.value.field == "seed"
+
+    @pytest.mark.parametrize(
+        "field, counts",
+        [
+            ("instances", (2.5, 10, 2)),
+            ("num_taps", (3, 2.5, 1)),
+            ("max_reuse", (3, 4, 1.0)),
+        ],
+    )
+    def test_library_entry_point_rejects_non_integer_counts(self, field, counts):
+        with pytest.raises(InvalidInputError) as exc:
+            verify_update_against_kkt(*counts, seed=0)
+        assert exc.value.field == field

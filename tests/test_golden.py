@@ -32,6 +32,14 @@ GOLDEN = {
         "trace.csv": "27cb40a6b60f85ad01e28c7007f9b5de8239ab8cdae14109619426c98fe695a5",
         "summary.txt": "adaaf40a0c8957e1ffb3c028028b1fc2f2ff183eb239afd06405acd9fe3a87ab",
     },
+    "run --iters 1000 --ar=-0.9 --seed 2": {
+        "trace.csv": "29488051f6d09941fad97f2832ffe912b0d4d253c38530fe2ea2a2c261993287",
+        "summary.txt": "1582d2ee4cab18e54712fda935eaee09ee4570d7bc916d50f43ffbd4198311ae",
+    },
+    "run --iters 500 --ar=0 --taps 1 --reuse 0 --seed 6": {
+        "trace.csv": "cee135e8d04aba20fce6ca28b31d426e2b9970ab524a761f146081225606906b",
+        "summary.txt": "f1fe471691967ac4bc9d25efb1cfe72c48c6ec928c120c50e713d623da8f9e88",
+    },
     "mc --iters 300 --runs 5 --reuse 4 --algos smap:fixed,smap:sccv,ap:0.5": {
         "mse.csv": "33707a3d39d1a20dbba9d97632f304064ed36c55cf86171cec90eb1399d054c9",
         "summary.txt": "18a589de5851306358bb4733a877e94df933e654b7f0f50dfea3f48680e0cb8a",

@@ -154,6 +154,9 @@ def test_solve_validation():
         solve_spd(np.eye(2), np.ones(3))
     with pytest.raises(InvalidInputError):
         solve_spd(np.eye(2), np.ones(2), delta=-1e-9)
+    for delta in (np.inf, np.nan):
+        with pytest.raises(InvalidInputError, match="finite"):
+            solve_spd(np.eye(2), np.ones(2), delta)
 
 
 @pytest.mark.parametrize("delta", [0.0, 1e-12])

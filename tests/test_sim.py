@@ -1,12 +1,16 @@
 """Tests for signal generation and the experiment driver."""
 
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy.signal import lfilter
 
 from smap import sim
 from smap.constraints import custom_cv, fixed_cv, noise_cv, sc_cv, zero_cv
@@ -130,6 +134,71 @@ class TestSignals:
         config = ScenarioConfig()
         with pytest.raises(InvalidInputError):
             generate_signals(config, np.zeros(3), np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "a", [0.0, -0.0, 0.5, -0.5, 0.95, -0.95, 0.9999, -0.9999, "random"]
+    )
+    @pytest.mark.parametrize("n", [3, 10, 11_000])
+    @pytest.mark.parametrize("scale", [1e-4, 1.0, 1e4])
+    def test_ar1_matches_lfilter_to_the_bit(self, a, n, scale):
+        rng = np.random.default_rng(n)
+        coefficients = rng.uniform(-0.9999, 0.9999, 8) if a == "random" else [a]
+        for coefficient in coefficients:
+            u = scale * rng.standard_normal(n)
+            u[0] = 0.0  # generate_signals delays the drive by one step
+            got = sim._ar1(u, coefficient)
+            want = lfilter([1.0], [1.0, -coefficient], u)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want), coefficient
+            assert np.array_equal(np.signbit(got), np.signbit(want)), coefficient
+
+    @pytest.mark.parametrize("ar", [0.0, 0.95, -0.95])
+    @pytest.mark.parametrize("iterations", [0, 1, 1000])
+    @pytest.mark.parametrize("num_taps", [1, 10, 256])
+    def test_signals_match_the_lfilter_construction_to_the_bit(self, ar, iterations, num_taps):
+        config = ScenarioConfig(
+            num_taps=num_taps, reuse=0, iterations=iterations, ar_coefficient=ar
+        )
+        seed = 1000 * num_taps + iterations
+        w0 = generate_system(num_taps, np.random.default_rng(seed))
+        got = generate_signals(config, w0, np.random.default_rng(seed + 1))
+        want = _lfilter_signals(config, w0, np.random.default_rng(seed + 1))
+        for g, w in zip(got, want):
+            assert g.shape == w.shape == (iterations,)
+            assert g.tobytes() == w.tobytes()
+
+    def test_import_does_not_load_scipy_signal(self):
+        # scipy.signal costs about half a second and tens of MB to import,
+        # and the library needs only numpy and scipy.linalg.lapack
+        src = os.path.dirname(os.path.dirname(sim.__file__))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        code = "import sys, smap, smap.cli; print('scipy.signal' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
+
+
+def _lfilter_signals(config, w0, rng):
+    """generate_signals as built on scipy.signal.lfilter."""
+    a = config.ar_coefficient
+    target = config.reference_power
+    lags = np.arange(w0.size)
+    response = float(w0 @ (a ** np.abs(lags[:, None] - lags[None, :])) @ w0)
+    input_var = target / response if response > 0.0 else target
+    drive_std = float(np.sqrt(input_var * (1.0 - a * a)))
+    drive = rng.normal(0.0, drive_std, sim._CAL_SAMPLES + config.iterations)
+    x_all = lfilter([1.0], [1.0, -a], np.concatenate(([0.0], drive[:-1])))
+    warm_output = lfilter(w0, [1.0], x_all[: sim._CAL_SAMPLES])
+    measured = float(np.var(warm_output[sim._CAL_SKIP :]))
+    if measured > 0.0:
+        x_all = x_all * np.sqrt(target / measured)
+    x = x_all[sim._CAL_SAMPLES :]
+    clean = lfilter(w0, [1.0], x) if x.size else np.zeros(0)
+    noise = rng.normal(0.0, float(np.sqrt(config.noise_variance)), config.iterations)
+    return x, clean + noise, noise
 
 
 class TestRunSingle:

@@ -3,23 +3,20 @@
 #
 #   tools/diff_outputs.sh REV
 #
-# Checks REV out into a temporary git worktree, runs the same smap commands
+# Exports REV into a temporary directory, runs the same smap commands
 # in both trees with the same --out-dir names, and compares trace.csv,
 # summary.txt, mse.csv and each command's stdout with diff -r.  Exits
 # nonzero on any difference, or when a command fails in either tree.  The
-# worktree is removed on exit.  The commands are those whose digests
+# directory is removed on exit.  The commands are those whose digests
 # tests/test_golden.py pins, and a few more.
 set -euo pipefail
 
 rev=${1:?usage: tools/diff_outputs.sh REV}
 root=$(git rev-parse --show-toplevel)
 tmp=$(mktemp -d)
-cleanup() {
-    git -C "$root" worktree remove --force "$tmp/base" 2>/dev/null || true
-    rm -rf "$tmp"
-}
-trap cleanup EXIT
-git -C "$root" worktree add --quiet --detach "$tmp/base" "$rev"
+trap 'rm -rf "$tmp"' EXIT
+mkdir "$tmp/base"
+git -C "$root" archive "$rev" src | tar -x -C "$tmp/base"
 
 commands=(
     "run --iters 2000 --seed 4"
@@ -27,11 +24,14 @@ commands=(
     "run --iters 2000 --cv sccv --seed 3"
     "run --iters 2000 --cv noise --noise-scale 0.5 --seed 5"
     "run --iters 1000 --mu 0.5"
+    "run --iters 1000 --ar=-0.9 --seed 2"
+    "run --iters 500 --ar=0 --taps 1 --reuse 0 --seed 6"
     "mc --iters 300 --runs 5 --reuse 4 --algos smap:fixed,smap:sccv,ap:0.5"
     "run --iters 3000 --seed 5 --cv noise --noise-scale 0.5"
     "run --iters 500 --taps 4 --reuse 0"
     "mc --iters 300 --runs 70 --algos smap:fixed,smap:sccv,smap:noise,ap:0.9"
     "mc --iters 300 --runs 4 --taps 20 --reuse 8 --algos smap:fixed,smap:sccv,ap:0.5"
+    "mc --iters 300 --runs 4 --ar=-0.5 --taps 64 --algos smap:fixed,ap:0.5"
     "verify --instances 200"
 )
 
