@@ -53,8 +53,8 @@ class ConstraintStrategy:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise InvalidInputError(f"unknown strategy kind {self.kind!r}")
-        if self.kind == NOISE and not self.scale >= 0.0:
-            raise InvalidInputError(f"noise scale must be nonnegative, got {self.scale}")
+        if self.kind == NOISE and not 0.0 <= self.scale < np.inf:  # nan fails both comparisons
+            raise InvalidInputError(f"noise scale must be nonnegative and finite, got {self.scale}")
         if self.kind == CUSTOM and self.fn is None:
             raise InvalidInputError("custom strategy needs a callable")
 

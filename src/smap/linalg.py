@@ -6,18 +6,37 @@ formed.  Every solve, of one system or a stack, factors the regularized
 Gram matrix with LAPACK's ``dpotrf`` and solves with ``dpotrs``, one
 system at a time, so a system solved in a stack matches it solved alone
 to the bit, and the algorithm and its checks apply the same operator.
+These and ``sim``'s ``dgttrs`` are scipy's own wrappers, bound from the
+compiled module ``scipy.linalg._flapack`` loaded by file, which skips the
+cost of ``scipy.linalg``'s package init.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from importlib import machinery, util
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import InvalidInputError, SingularSystemError
 
 __all__ = ["gram", "solve_spd", "solve_spd_stack", "not_positive_definite", "all_finite"]
+
+
+def _lapack(*names: str) -> list:
+    """Bind ``names`` from ``scipy.linalg._flapack``, located without importing ``scipy``."""
+    directory = os.path.join(*util.find_spec("scipy").submodule_search_locations, "linalg")
+    loader = (machinery.ExtensionFileLoader, machinery.EXTENSION_SUFFIXES)
+    spec = machinery.FileFinder(directory, loader).find_spec("scipy.linalg._flapack")
+    if spec is None:
+        raise ImportError(f"scipy's LAPACK wrapper _flapack is not in {directory}")
+    module = util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return [getattr(module, name) for name in names]
+
+
+dpotrf, dpotrs, dgttrs = _lapack("dpotrf", "dpotrs", "dgttrs")
 
 
 def gram(X: np.ndarray) -> np.ndarray:

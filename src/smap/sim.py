@@ -14,7 +14,6 @@ from typing import Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg.lapack import dgttrs
 
 from .constraints import CUSTOM, NOISE, ConstraintStrategy, fixed_cv, make_cv, satisfies_bound
 from .errors import ConstraintBoundError, InvalidInputError, SimulationError, SmapError
@@ -27,7 +26,7 @@ from .filters import (
     indicator,
     smap_update,
 )
-from .linalg import all_finite, not_positive_definite, solve_spd_stack
+from .linalg import all_finite, dgttrs, not_positive_definite, solve_spd_stack
 from .robustness import (
     DivergenceMonitorRecord,
     GlobalRobustnessReport,
@@ -434,8 +433,11 @@ def run_monte_carlo(config: ScenarioConfig, algorithm: str, runs: int) -> MonteC
     different call order than under ``run_single``.
     """
     _check_algorithm(config, algorithm)
-    if runs < 1:
-        raise InvalidInputError(f"run count must be positive, got {runs}")
+    try:
+        if operator.index(runs) < 1:  # numpy integers pass, floats and strings do not
+            raise InvalidInputError(f"run count must be positive, got {runs}", field="runs")
+    except TypeError:
+        raise InvalidInputError(f"runs must be an integer, got {runs!r}", field="runs") from None
     K = config.iterations
     mse = np.zeros(K)
     counts = np.zeros((3, runs))  # updates, expanding steps, relaxations per run

@@ -91,6 +91,8 @@ class TestRunCommand:
             ["run", "--seed", "-1"],
             ["mc", "--seed", "-3", "--algos", "smap:fixed"],
             ["verify", "--seed", "-1"],
+            ["run", "--cv", "noise", "--noise-scale", "inf"],
+            ["mc", "--algos", "smap:noise", "--noise-scale", "inf"],
         ],
     )
     def test_usage_errors_exit_2(self, argv, tmp_path, monkeypatch, capsys):

@@ -1,5 +1,7 @@
 """Tests for the constraint-vector strategies."""
 
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -22,8 +24,9 @@ GAMMA = 0.2236
 def test_strategy_validation():
     with pytest.raises(InvalidInputError):
         ConstraintStrategy("bogus")
-    with pytest.raises(InvalidInputError):
-        ConstraintStrategy("noise", scale=-1.0)
+    for scale in (-1.0, math.inf, math.nan):  # inf * 0 in the noise window is nan
+        with pytest.raises(InvalidInputError, match="noise scale"):
+            ConstraintStrategy("noise", scale=scale)
     with pytest.raises(InvalidInputError):
         ConstraintStrategy("custom")
 

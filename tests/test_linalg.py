@@ -1,5 +1,9 @@
 """Tests for the Gram-system helpers against hand-rolled oracles."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -8,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.linalg import cho_factor, cho_solve
 
+import smap
 from smap.errors import InvalidInputError, SingularSystemError
 from smap.linalg import _cholesky_solve, gram, solve_spd, solve_spd_stack
 
@@ -193,3 +198,24 @@ def test_stacked_factor_rejects_indefinite_member(rng):
     npt.assert_array_equal(sols[1], 0.0)
     for i in (0, 2):
         npt.assert_array_equal(sols[i], solve_spd(G[i], b[i]))
+
+
+@pytest.mark.parametrize("first", ["smap", "scipy"])
+def test_lapack_routines_are_scipys_own(first):
+    # smap loads scipy's compiled LAPACK module by file; in either import
+    # order its routines must be the very objects scipy.linalg.lapack exports
+    order = ["import smap.linalg, smap.sim", "import scipy.linalg.lapack as lapack"]
+    if first == "scipy":
+        order.reverse()
+    check = (
+        "print(smap.linalg.dpotrf is lapack.dpotrf, smap.linalg.dpotrs is lapack.dpotrs,"
+        " smap.sim.dgttrs is lapack.dgttrs)"
+    )
+    src = os.path.dirname(os.path.dirname(smap.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-c", "; ".join(order + [check])],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["True", "True", "True"]

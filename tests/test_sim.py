@@ -168,17 +168,19 @@ class TestSignals:
             assert g.tobytes() == w.tobytes()
 
     def test_import_does_not_load_scipy_signal(self):
-        # scipy.signal costs about half a second and tens of MB to import,
-        # and the library needs only numpy and scipy.linalg.lapack
+        # scipy.signal and scipy.linalg's package init (which pulls in
+        # numpy.f2py and numpy.testing) cost most of the start-up time and
+        # tens of MB, and the library needs only three LAPACK routines
         src = os.path.dirname(os.path.dirname(sim.__file__))
         path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        code = "import sys, smap, smap.cli; print('scipy.signal' in sys.modules)"
+        heavy = ["scipy.signal", "scipy.linalg", "numpy.f2py", "numpy.testing"]
+        code = f"import sys, smap, smap.cli; print([m for m in {heavy!r} if m in sys.modules])"
         result = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
             env={**os.environ, "PYTHONPATH": path},
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "False"
+        assert result.stdout.strip() == "[]"
 
 
 def _lfilter_signals(config, w0, rng):
@@ -452,6 +454,19 @@ class TestMonteCarlo:
         config = ScenarioConfig(iterations=30)
         with pytest.raises(InvalidInputError):
             run_monte_carlo(config, SMAP, runs=0)
+
+    @pytest.mark.parametrize("runs", [2.5, "3", None])
+    def test_rejects_non_integer_run_count(self, runs):
+        config = ScenarioConfig(iterations=30)
+        with pytest.raises(InvalidInputError, match="runs must be an integer") as exc:
+            run_monte_carlo(config, SMAP, runs)
+        assert exc.value.field == "runs"
+
+    def test_numpy_integer_run_count_passes(self):
+        config = ScenarioConfig(iterations=30)
+        want = run_monte_carlo(config, SMAP, 2)
+        got = run_monte_carlo(config, SMAP, np.int64(2))
+        assert got.mse_curve.tobytes() == want.mse_curve.tobytes()
 
     def test_failure_names_run_and_seed(self):
         # the same singular warm-up as above, now inside an ensemble
