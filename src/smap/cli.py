@@ -158,9 +158,9 @@ def _config_lines(config: ScenarioConfig, algorithm: str) -> list[str]:
 
 
 def write_run_outputs(
-    trace: RunTrace, config: ScenarioConfig, algorithm: str, out_dir: Path
+    trace: RunTrace, config: ScenarioConfig, algorithm: str, out_dir: Path, run_index: int = 0
 ) -> OutputBundle:
-    """Write ``trace.csv`` and ``summary.txt`` for one run."""
+    """Write ``trace.csv`` and ``summary.txt`` for one run, run ``run_index`` of its seed."""
     out_dir.mkdir(parents=True, exist_ok=True)
     recs = trace.local_records
     rows = zip(
@@ -180,6 +180,8 @@ def write_run_outputs(
     report = trace.global_report
     updates = int(trace.update_flags.sum())
     lines = ["command: run", *_config_lines(config, algorithm)]
+    if run_index:
+        lines.append(f"run-index: {run_index}")
     lines += [
         f"updates: {updates}",
         f"update-rate: {_fmt(trace.update_rate)}",
@@ -309,6 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario_flags(run_p)
     run_p.add_argument("--mu", type=float, default=None,
                        help="run the plain projection baseline with this step size (ignores --cv)")
+    run_p.add_argument("--run-index", type=int, default=0, metavar="I",
+                       help="draw run I of an mc ensemble with the same flags, to replay it")
     run_p.set_defaults(func=cmd_run, subparser=run_p)
 
     mc_p = sub.add_parser("mc", help="average a Monte-Carlo ensemble")
@@ -355,8 +359,10 @@ def _scenario_from_args(args: argparse.Namespace) -> ScenarioConfig:
 def cmd_run(args: argparse.Namespace) -> int:
     algorithm = AP if args.mu is not None else SMAP
     config = _scenario_from_args(args)
-    trace = run_single(config, algorithm, run_rng(config.seed, 0))
-    bundle = write_run_outputs(trace, config, algorithm, args.out_dir)
+    if args.run_index < 0:
+        raise InvalidInputError(f"--run-index must be nonnegative, got {args.run_index}")
+    trace = run_single(config, algorithm, run_rng(config.seed, args.run_index))
+    bundle = write_run_outputs(trace, config, algorithm, args.out_dir, args.run_index)
     updates = int(trace.update_flags.sum())
     print(f"updates: {updates}/{config.iterations} (rate {trace.update_rate:.4f})")
     print(f"robustness violations: {trace.global_report.condition_violations}")

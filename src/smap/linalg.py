@@ -71,7 +71,8 @@ def solve_spd(G: np.ndarray, b: np.ndarray, delta: float = 0.0) -> np.ndarray:
         Right-hand side; a 2-D ``b`` is solved column by column.
     delta : float
         Finite, nonnegative Tikhonov term added to the diagonal before
-        factorizing.  With ``delta == 0`` a semidefinite ``G`` raises.
+        factorizing.  With ``delta == 0`` a semidefinite ``G`` raises,
+        unless its null rows are trailing zeros with zero right-hand side.
 
     Returns
     -------
@@ -123,11 +124,23 @@ def _cholesky_solve(H: np.ndarray, b: np.ndarray) -> np.ndarray | None:
 
     A 2-D solution comes back in Fortran order, as from scipy's Cholesky
     helpers, and dot products over its columns round by that layout.
+
+    When the factorization stops at row ``j > 0`` and rows ``j:`` of both
+    ``H`` and ``b`` are exactly zero, as the padded lags of an
+    unregularized window are, that block is decoupled: the leading
+    ``j x j`` system is solved and the rest of ``y`` is zero.
     """
-    factor, info = dpotrf(H, lower=1, clean=0)
-    if info:
+    # lower=1, clean=0 and lower=1, passed by position: f2py parses keywords slowly
+    factor, info = dpotrf(H, 1, 0)
+    if not info:
+        return dpotrs(factor, b, 1)[0]
+    j = info - 1  # the first row that failed; LAPACK counts from 1
+    lead = None if j < 1 or H[j:].any() or b[j:].any() else _cholesky_solve(H[:j, :j], b[:j])
+    if lead is None:
         return None
-    return dpotrs(factor, b, lower=1)[0]
+    y = np.zeros(b.shape, order="F")
+    y[:j] = lead
+    return y
 
 
 def not_positive_definite(delta: float) -> SingularSystemError:

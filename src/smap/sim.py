@@ -278,29 +278,29 @@ def _series(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Draw one system and signal set per generator, laid out as both engines read them.
 
-    Returns ``w0``, one row per run, and the views ``inputs``, ``d`` and
-    ``n``.  At step ``k`` the entries ``[r, s + j]`` with ``s = K-1-k``
-    hold run ``r``'s input vector, reference and noise sample ``j`` steps
+    Returns ``w0``, one row per run, the input store ``xs`` and the views
+    ``d`` and ``n``.  At step ``k`` the entries ``[r, s + j]`` with
+    ``s = K-1-k`` of ``d``, ``n`` and the window view ``inputs`` of ``xs``
+    hold run ``r``'s reference, noise sample and input vector ``j`` steps
     back, and zeros before the start of the run.  Inputs are stored
-    newest sample first and windowed by a strided view; reference and
-    noise are stored oldest first behind ``L`` zeros and read reversed
-    (with positive strides, ``local_check``'s noise dot product would go
-    to BLAS and round differently).  Both engines take their products
-    over these views, so numpy runs the same loops for both at every
-    filter length.
+    newest sample first, with ``inputs[r, i] = xs[r, i:i+N]``; reference
+    and noise are stored oldest first behind ``L + 1`` zeros and read
+    reversed (with positive strides, ``local_check``'s noise dot product
+    would go to BLAS and round differently).  Both engines take their
+    products over strided windows of this store, so numpy runs the same
+    loops for both at every filter length.
     """
     K, N, L = config.iterations, config.num_taps, config.reuse
     R = len(rngs)
-    xs = np.zeros((R, K + L + N))  # one spare zero keeps a window at K = L = 0
-    ds = np.zeros((R, L + K))
-    ns = np.zeros((R, L + K))
+    xs = np.zeros((R, K + L + N))  # one spare zero in each keeps a window at K = 0
+    ds = np.zeros((R, L + 1 + K))
+    ns = np.zeros((R, L + 1 + K))
     w0 = np.empty((R, N))
     for r, rng in enumerate(rngs):
         w0[r] = generate_system(N, rng)
-        x, ds[r, L:], ns[r, L:] = generate_signals(config, w0[r], rng)
+        x, ds[r, L + 1 :], ns[r, L + 1 :] = generate_signals(config, w0[r], rng)
         xs[r, :K] = x[::-1]
-    # inputs[r, i] = xs[r, i:i+N], a view
-    return w0, sliding_window_view(xs, N, axis=1), ds[:, ::-1], ns[:, ::-1]
+    return w0, xs, ds[:, ::-1], ns[:, ::-1]
 
 
 def _check_algorithm(config: ScenarioConfig, algorithm: str) -> None:
@@ -329,7 +329,8 @@ def run_single(
     """
     _check_algorithm(config, algorithm)
     K, L = config.iterations, config.reuse
-    w0, inputs, d, n = (a[0] for a in _series(config, [rng]))
+    w0, xs, d, n = (a[0] for a in _series(config, [rng]))
+    inputs = sliding_window_view(xs, config.num_taps)
     state = FilterState.zeros(config.num_taps)
     misalignment = np.empty(K + 1)
     misalignment[0] = float(w0 @ w0)
@@ -407,17 +408,23 @@ def run_monte_carlo(config: ScenarioConfig, algorithm: str, runs: int) -> MonteC
     reproducible and a failing run is reported with the run index and
     seed that replay it.
 
-    The runs are advanced in lockstep, in blocks of ``_BLOCK_RUNS``, so
+    The runs are advanced together, in blocks of ``_BLOCK_RUNS``, so
     peak memory grows with the block, not with ``runs``.  A block walks
     time in chunks of ``_CHUNK_STEPS`` steps.  One stacked product builds
-    the regularized Gram matrices of every run and step of a chunk; each
-    run whose gate fires gets one Cholesky factorization of its matrix,
-    which serves both the update and the energy check; and the energy
-    terms, which never feed back into the recursion, are folded in one
-    pass at the end of the chunk.  Every check of ``run_single`` applies,
-    and the ``SmapError`` it would raise reads ``run r (seed s):
-    iteration k: ...``, naming the lowest failing run at the first
-    failing step of the first failing block.
+    the regularized Gram matrices of every run and step of a chunk.  The
+    chunk goes in rounds: in each, every run whose gate fires next takes
+    one firing step, stacked over those runs, whose one Cholesky
+    factorization serves both the update and the energy check.  For
+    SM-AP with ``reuse >= 1`` each run keeps its own step: one product
+    gives its prior errors up to the chunk's end, and it jumps to its
+    next firing step, so rounds follow updates, not samples.  AP fires
+    on every step, and at ``reuse == 0`` a product over several steps
+    rounds unlike ``run_single``'s, so both advance one step per round.
+    The energy terms, which never feed back into the recursion, are
+    folded in one pass at the end of the chunk.  Every check of
+    ``run_single`` applies, and the ``SmapError`` it would raise reads
+    ``run r (seed s): iteration k: ...``, naming the lowest failing run
+    at the first failing step of the first failing block.
 
     Both engines read the runs' data from one store, so products go
     through the same numpy loops as in ``run_single`` at every filter
@@ -428,9 +435,9 @@ def run_monte_carlo(config: ScenarioConfig, algorithm: str, runs: int) -> MonteC
     and counts match.  The energy check's quadratic forms are summed in
     another order, which could move a step's classification only at the
     edge of the ``PRESERVE_RTOL`` tie band.
-    A custom constraint rule is called once per firing run and step, in
-    run order within each step, so a rule that keeps state sees a
-    different call order than under ``run_single``.
+    A custom constraint rule is called once per firing run and step,
+    round by round and in run order within a round, so a rule that keeps
+    state sees a different call order than under ``run_single``.
     """
     _check_algorithm(config, algorithm)
     try:
@@ -474,80 +481,124 @@ def _lockstep_block(
     ap = algorithm == AP
     relaxed = not ap and strategy.kind == NOISE
     updates, violations, relaxations = counts
-    # at step k the window of lag j sits at index K-1-k+j of each series
-    w0, inputs, ds, ns = _series(config, [run_rng(config.seed, r) for r in range(first, stop)])
+    w0, xs, ds, ns = _series(config, [run_rng(config.seed, r) for r in range(first, stop)])
+    # Products are taken over strided windows of the store, or of segments
+    # gathered from it and windowed alike, never over contiguous copies:
+    # numpy then runs the same unblocked loops as it does on run_single's
+    # windows, so that, with solve_spd's LAPACK calls for the solves, each
+    # run follows run_single's trajectory to the bit.
+    # At step k = K-1-s, run r's input and noise windows are xwin[r, s]
+    # and nwin[r, s], and segments[r, s] holds the inputs of xwin[r, s].
+    # Chunk column c of the chunk views belongs to step k1-1-c.
+    inputs = sliding_window_view(xs, N, axis=1)
+    xwin = sliding_window_view(inputs, m, axis=1).transpose(0, 1, 3, 2)
+    nwin = sliding_window_view(ns, m, axis=1)
+    segments = sliding_window_view(xs, m + N - 1, axis=1)
+    every, lag = np.arange(R), np.arange(m)
+    tri = np.arange(_CHUNK_STEPS) >= np.arange(_CHUNK_STEPS + 1)[:, None]  # tri[d, i] = i >= d
     w = np.zeros((R, N))
     errors = np.empty((K, R))
     noise_energy = np.zeros(R)
-    every = np.arange(R)
+    failed: dict[int, tuple[int, SmapError]] = {}  # run: (step, error)
+
+    def fire(rows: np.ndarray, c, ef: np.ndarray) -> None:
+        """One firing step for runs ``rows``, each at its chunk column ``c``."""
+        nonlocal w
+        steps = k1 - 1 - c
+        if rows.size == R and isinstance(c, int):  # every run at one step: views
+            s = c + K - k1
+            sel, nf, G, Xt = slice(None), nwin[:, s], grams[:, c], xwin[:, s]
+        else:
+            sel, g = rows, pack[rows, c]
+            nf, G = g[:, :m], g[:, m : m + m * m].reshape(-1, m, m)
+            # the input segment, windowed as inputs is: the move then takes
+            # the same loop as over the store, where a copy would go to BLAS
+            Xt = np.ndarray((rows.size, m, N), g.dtype, g, 8 * m * (m + 1), (g.strides[0], 8, 8))
+        if not ap and not all_finite(ef):  # the gate's check; AP has no gate
+            _record(failed, rows, steps, lambda i: indicator(ef[i, 0], gamma_bar))
+        if ap:
+            cv = np.zeros(ef.shape)
+        elif strategy.kind == CUSTOM:
+            cv = np.zeros(ef.shape)
+
+            def custom_row(i: int) -> None:
+                cv[i] = make_cv(strategy, ef[i], nf[i], gamma_bar, enforce_bound=False)
+
+            _record(failed, rows, steps, custom_row)
+        else:
+            cv = make_cv(strategy, ef, nf, gamma_bar, enforce_bound=False)
+        if k0 < L:  # padded lags stay neutral, as in run_single
+            np.copyto(cv, 0.0, where=lag > np.reshape(steps, (-1, 1)))
+        if relaxed:
+            relaxations[sel] += ~satisfies_bound(cv, gamma_bar)
+        elif not ap:
+            try:
+                check_cv_bound(cv, gamma_bar)
+            except ConstraintBoundError:
+                _record(failed, rows, steps, lambda i: check_cv_bound(cv[i], gamma_bar))
+        b = np.array((ef - cv, nf, cv)).transpose(1, 2, 0)  # right-hand side j is b[:, :, j]
+        sols, singular = solve_spd_stack(G, b)
+        if singular.any():
+            _record(failed, rows[singular], np.broadcast_to(steps, rows.shape)[singular],
+                    lambda i: _raise(not_positive_definite(delta)))
+        move = (sols[:, None, :, 0] @ Xt)[:, 0]
+        if ap:
+            move *= config.ap_step
+        before = w[sel]
+        w_new = before + move
+        if not all_finite(w_new):
+            _record(failed, rows, steps, lambda i: FilterState(w_new[i]))
+        log.append((steps, rows, nf, cv, sols, before))
+        if rows.size == R:  # w is replaced, not written to: before may be a view of it
+            w = w_new
+        else:
+            w[rows] = w_new
+
     for k0 in range(0, K, _CHUNK_STEPS):
         k1 = min(K, k0 + _CHUNK_STEPS)
-        # Products are taken over the strided windows of every run, never
-        # over gathered copies: numpy then runs the same unblocked loops
-        # as it does on run_single's windows, so that, with solve_spd's
-        # LAPACK calls for the solves, each run follows run_single's
-        # trajectory to the bit.  grams[:, k1-1-k] belongs to step k.
-        chunk = sliding_window_view(inputs[:, K - k1 : K - k0 + L], m, axis=1)
-        grams = chunk.transpose(0, 1, 3, 2) @ chunk
+        C = k1 - k0
+        cols = slice(K - k1, K - k0)
+        chunk, xc, dc = xwin[:, cols], inputs[:, K - k1 :], ds[:, K - k1 :]
+        grams = chunk @ chunk.transpose(0, 1, 3, 2)
         if delta != 0.0:
             grams += delta * np.eye(m)
-        log = []  # (step, rows, noise windows, cv, solutions, coefficients before)
-        failed: dict[int, SmapError] = {}
-        for k in range(k0, k1):
-            s = K - 1 - k
-            Xt = inputs[:, s : s + m]  # (R, m, N); row j is the input vector j steps back
-            e = ds[:, s : s + m] - (Xt @ w[:, :, None])[:, :, 0]
-            e0 = e[:, 0]
-            errors[k] = e0
-            if not ap and not all_finite(e0):  # the gate's check; AP has no gate
-                _record(failed, every, lambda r: indicator(e0[r], gamma_bar))
-            rows = every if ap else (np.abs(e0) > gamma_bar).nonzero()[0]
-            if rows.size:
-                sel = slice(None) if rows.size == R else rows
-                ef, nf = e[sel], ns[sel, s : s + m]
-                if ap:
-                    cv = np.zeros(ef.shape)
-                elif strategy.kind == CUSTOM:
-                    cv = np.zeros(ef.shape)
-
-                    def custom_row(i: int) -> None:
-                        cv[i] = make_cv(strategy, ef[i], nf[i], gamma_bar, enforce_bound=False)
-
-                    _record(failed, rows, custom_row)
-                else:
-                    cv = make_cv(strategy, ef, nf, gamma_bar, enforce_bound=False)
-                if k < L:
-                    cv[:, k + 1 :] = 0.0  # padded lags stay neutral, as in run_single
-                if relaxed:
-                    relaxations[sel] += ~satisfies_bound(cv, gamma_bar)
-                elif not ap:
-                    try:
-                        check_cv_bound(cv, gamma_bar)
-                    except ConstraintBoundError:
-                        _record(failed, rows, lambda i: check_cv_bound(cv[i], gamma_bar))
-                b = np.empty(ef.shape + (3,))
-                b[:, :, 0], b[:, :, 1], b[:, :, 2] = ef - cv, nf, cv
-                sols, singular = solve_spd_stack(grams[sel, k1 - 1 - k], b)
-                for i in singular.nonzero()[0]:
-                    failed.setdefault(int(rows[i]), not_positive_definite(delta))
-                if rows.size == R:  # no gathers, and w is replaced, not written to
-                    y, before = sols[:, :, 0], w
-                else:
-                    y, before = np.zeros((R, m)), w[rows]
-                    y[rows] = sols[:, :, 0]
-                move = (y[:, None, :] @ Xt)[sel, 0]
-                if ap:
-                    move *= config.ap_step
-                w_new = before + move
-                if not all_finite(w_new):
-                    _record(failed, rows, lambda i: FilterState(w_new[i]))
-                log.append((k, rows, nf, cv, sols, before))
-                if rows.size == R:
-                    w = w_new
-                else:
-                    w[rows] = w_new
-            if failed:
-                break
+        # one gather of a column serves a firing step: noise, Gram matrix, inputs
+        pack = np.concatenate((nwin[:, cols], grams.reshape(R, C, -1), segments[:, cols]), axis=2)
+        log = []  # (steps, rows, noise windows, cv, solutions, coefficients before)
+        if ap or L == 0:
+            # AP fires on every step, and at L = 0 a product over several
+            # steps rounds unlike the step's own: one step per round
+            for c in range(C - 1, -1, -1):
+                e = dc[:, c : c + m] - (chunk[:, c] @ w[:, :, None])[:, :, 0]
+                errors[k1 - 1 - c] = e0 = e[:, 0]
+                rows = every if ap else (~(np.abs(e0) <= gamma_bar)).nonzero()[0]
+                if rows.size:
+                    fire(rows, c, e if rows.size == R else e[rows])
+                if failed:
+                    break
+        else:
+            # Each run keeps its own step.  A round takes every run's prior
+            # errors from its step on in one product under its present w,
+            # records them up to its next step whose gate fires or must
+            # reject a non-finite error, and fires it there.
+            at = np.zeros(R, dtype=np.intp)  # each run's next step, counted from k0
+            end = C
+            while (p := int(at.min())) < end:
+                h, a = end - p, C - end  # steps k0+p to k0+end-1 are columns a+h-1 to a
+                e = dc[:, a : a + h + L] - (xc[:, a : a + h + L] @ w[:, :, None])[:, :, 0]
+                e0 = e[:, h - 1 :: -1]  # e0[:, i] is step k0+p+i's
+                pending = tri[at - p, :h]
+                np.copyto(errors[k0 + p : k0 + end].T, e0, where=pending)
+                fires = pending > (np.abs(e0) <= gamma_bar)
+                rows = fires.any(axis=1).nonzero()[0]
+                q = h - 1 - fires.argmax(axis=1)[rows]
+                at.fill(end)  # a run that does not fire is done, up to end
+                at[rows] = end - q
+                if rows.size:
+                    lags = np.ndarray((R, h, m), buffer=e, strides=(e.strides[0], 8, 8))
+                    fire(rows, a + q, lags[rows, q])
+                if failed:  # a failed run's next step is past its failure
+                    end = min(k for k, _ in failed.values()) - k0 + 1
         if log:
             # The energy terms never feed back into the recursion, so each
             # chunk folds them in one pass, before any failure is raised.
@@ -564,16 +615,14 @@ def _lockstep_block(
             if zero.size:
                 wt = w0[hit[zero]] - np.concatenate(befores)[zero]
                 zero = zero[np.einsum("ij,ij->i", wt, wt) == 0.0]
-                at = np.repeat(steps, list(map(len, hits)))[zero]
-                if at.size and (not failed or at[0] < k):
-                    failed, k = {}, int(at[0])
-                for r in hit[zero][at == k]:
-                    failed.setdefault(int(r), zero_energy())
+                steps = np.concatenate([np.broadcast_to(k, r.shape) for k, r in zip(steps, hits)])
+                _record(failed, hit[zero], steps[zero], lambda i: _raise(zero_energy()))
         if failed:
-            r = min(failed)
+            r = min(failed, key=lambda r: (failed[r][0], r))  # first step, then lowest run
+            k, err = failed[r]
             raise SimulationError(
-                f"run {first + r} (seed {config.seed}): iteration {k}: {failed[r]}"
-            ) from failed[r]
+                f"run {first + r} (seed {config.seed}): iteration {k}: {err}"
+            ) from err
     denominators = np.einsum("ij,ij->i", w0, w0) + noise_energy
     if not denominators.all():
         r = int(np.flatnonzero(denominators == 0.0)[0])
@@ -585,18 +634,24 @@ def _lockstep_block(
         mse += squared[:, r]
 
 
-def _record(failed: dict, rows: np.ndarray, check) -> None:
-    """Call ``check(i)`` for each position ``i`` in ``rows``.
+def _record(failed: dict, rows: np.ndarray, steps, check) -> None:
+    """Call ``check(i)`` for each position ``i`` in ``rows``, at step ``steps[i]`` or ``steps``.
 
-    The first ``SmapError`` per run is kept in ``failed`` under the run's
-    row ``rows[i]``.  The stages of a step run in ``run_single``'s order,
-    so a run keeps the error that ``run_single`` would raise.
+    A ``SmapError`` it raises is kept in ``failed`` as run ``rows[i]``'s
+    ``(step, error)`` unless the run failed at that step or before.  The
+    stages of a step run in ``run_single``'s order, so a run keeps the
+    error that ``run_single`` would raise.
     """
-    for i, r in enumerate(rows):
+    for i, (r, k) in enumerate(zip(rows.tolist(), np.broadcast_to(steps, rows.shape).tolist())):
         try:
             check(i)
         except SmapError as err:
-            failed.setdefault(int(r), err)
+            if r not in failed or k < failed[r][0]:
+                failed[r] = (k, err)
+
+
+def _raise(err: SmapError) -> None:
+    raise err
 
 
 def steady_state_db(mse_curve: np.ndarray, fraction: float = 0.2) -> float:

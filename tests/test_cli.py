@@ -1,16 +1,17 @@
 """End-to-end tests of the command-line front end."""
 
 import csv
+import re
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from smap import filters
+from smap import filters, sim
 from smap.cli import TRACE_HEADER, main, verify_update_against_kkt
 from smap.errors import InvalidInputError
 from smap.filters import CONTRACT, EXPAND, NO_UPDATE, PRESERVE, FilterState
-from smap.sim import SMAP, ScenarioConfig, run_rng, run_single
+from smap.sim import SMAP, ScenarioConfig, generate_signals, run_rng, run_single
 
 
 def _read_csv(path):
@@ -93,6 +94,7 @@ class TestRunCommand:
             ["verify", "--seed", "-1"],
             ["run", "--cv", "noise", "--noise-scale", "inf"],
             ["mc", "--algos", "smap:noise", "--noise-scale", "inf"],
+            ["run", "--run-index", "-1"],
         ],
     )
     def test_usage_errors_exit_2(self, argv, tmp_path, monkeypatch, capsys):
@@ -209,6 +211,37 @@ class TestMcCommand:
         column = np.array([float(row[1]) for row in rows[1:]])
         trace = run_single(ScenarioConfig(iterations=50), SMAP, run_rng(0, 0))
         npt.assert_array_equal(column, trace.squared_error)
+
+
+class TestReplay:
+    def test_run_index_draws_that_run_of_the_ensemble(self, tmp_path, capsys):
+        assert main(["run", "--iters", "50", "--seed", "4", "--run-index", "2",
+                     "--out-dir", str(tmp_path)]) == 0
+        rows = _read_csv(tmp_path / "trace.csv")
+        trace = run_single(ScenarioConfig(iterations=50, seed=4), SMAP, run_rng(4, 2))
+        assert [row[1] for row in rows[1:]] == [repr(e) for e in trace.errors.tolist()]
+        assert "\nrun-index: 2\n" in (tmp_path / "summary.txt").read_text()
+
+    def test_mc_failure_replays_from_the_command_line(self, monkeypatch, tmp_path, capsys):
+        # a fault in one later run of the ensemble: its input dies at step
+        # 60, so from step 69 on the ten taps hold no input and the
+        # unregularized Gram matrix is singular.  The failure names the
+        # run, the seed and the iteration, and `run --run-index` replays it.
+        def faulty(config, w0, rng):
+            x, d, n = generate_signals(config, w0, rng)
+            if rng.bit_generator.seed_seq.spawn_key == (3,):
+                x[60:], d[60:] = 0.0, 1.0
+            return x, d, n
+
+        monkeypatch.setattr(sim, "generate_signals", faulty)
+        scenario = ["--iters", "100", "--delta", "0", "--cv", "sccv", "--out-dir", str(tmp_path)]
+        assert main(["mc", *scenario, "--seed", "5", "--runs", "6", "--algos", "smap"]) == 1
+        err = capsys.readouterr().err
+        run, seed, tail = re.fullmatch(r"error: run (\d+) \(seed (\d+)\): (.*)\n", err).groups()
+        assert (run, seed) == ("3", "5")
+        assert tail.startswith("iteration 69: Gram system is not positive definite")
+        assert main(["run", *scenario, "--seed", seed, "--run-index", run]) == 1
+        assert capsys.readouterr().err == f"error: {tail}\n"
 
 
 class TestVerifyCommand:

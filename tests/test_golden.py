@@ -44,6 +44,11 @@ GOLDEN = {
         "mse.csv": "33707a3d39d1a20dbba9d97632f304064ed36c55cf86171cec90eb1399d054c9",
         "summary.txt": "18a589de5851306358bb4733a877e94df933e654b7f0f50dfea3f48680e0cb8a",
     },
+    # taken with the engine that stepped every run one sample at a time
+    "mc --iters 2000 --runs 8 --algos smap:sccv,smap:zero,smap:fixed,smap:noise --seed 7": {
+        "mse.csv": "c2ae507d7100cbf5f31c3107a4819ac97132fcf5b5ec6278477903a0b880596b",
+        "summary.txt": "6751f1ed81e04954eccc26236d0613e700ccfbc51791eaca399b9f2096e48b9c",
+    },
 }
 
 

@@ -190,6 +190,36 @@ def test_solves_match_cho_solve_to_the_bit(rng, delta):
                 npt.assert_array_equal(sol, expected)
 
 
+def test_decoupled_zero_block_is_padded_and_anything_else_raises(rng):
+    # the padded lags of an unregularized window: trailing zero rows of the
+    # Gram matrix with zeros in the right-hand side too
+    for m, j in ((2, 1), (3, 1), (3, 2), (6, 4)):
+        G = np.zeros((m, m))
+        G[:j, :j] = random_spd(rng, j)
+        for b in (rng.standard_normal(m), rng.standard_normal((m, 3))):
+            b[j:] = 0.0
+            y = solve_spd(G, b)
+            assert y[:j].tobytes() == solve_spd(G[:j, :j], b[:j]).tobytes()
+            assert y[j:].tobytes() == np.zeros(b[j:].shape).tobytes()
+            assert y.strides == np.zeros(b.shape, order="F").strides  # laid out as dpotrs's
+            sols, singular = solve_spd_stack(G[None], b[None])
+            assert not singular.any() and sols[0].tobytes() == y.tobytes()
+            b[-1] = 1.0  # a right-hand side in the zero block has no solution
+            with pytest.raises(SingularSystemError):
+                solve_spd(G, b)
+            assert solve_spd_stack(G[None], b[None])[1].all()
+    # no block before the zero rows, a singular one, or a zero row inside
+    singular_lead = np.ones((3, 3))
+    singular_lead[2] = singular_lead[:, 2] = 0.0
+    for G, b in (
+        (np.zeros((3, 3)), np.zeros(3)),
+        (singular_lead, np.array([1.0, 1.0, 0.0])),
+        (np.diag([1.0, 0.0, 1.0]), np.array([1.0, 0.0, 1.0])),
+    ):
+        with pytest.raises(SingularSystemError):
+            solve_spd(G, b)
+
+
 def test_stacked_factor_rejects_indefinite_member(rng):
     G = np.stack([random_spd(rng, 2), np.diag([1.0, -1.0]), random_spd(rng, 2)])
     b = rng.standard_normal((3, 2))

@@ -287,11 +287,12 @@ class TestRunSingle:
         with pytest.raises(InvalidInputError):
             run_single(config, AP, run_rng(0, 0))
 
-    def test_unregularized_warmup_failure_is_wrapped(self):
-        # the first windows repeat zero-padded regressors, so without the
-        # diagonal bump the normal equations are singular
+    def test_unregularized_warmup_failure_is_wrapped(self, monkeypatch):
+        # with an all-zero input every window's Gram matrix vanishes, so
+        # without the diagonal bump the first update has nothing to solve
+        monkeypatch.setattr(sim, "generate_signals", _zero_input)
         config = ScenarioConfig(iterations=5, delta=0.0, seed=0)
-        with pytest.raises(SimulationError, match="iteration 0"):
+        with pytest.raises(SimulationError, match="iteration 0: Gram system is not positive"):
             run_single(config, SMAP, run_rng(0, 0))
 
     def test_adversarial_strategy_keeps_identity_tight(self):
@@ -340,6 +341,12 @@ class TestRunSingle:
             assert record == divergence_monitor(state, window, k=k)
 
 
+def _zero_input(config, w0, rng):
+    """``generate_signals`` with the input zeroed, leaving every window singular."""
+    x, d, n = generate_signals(config, w0, rng)
+    return np.zeros_like(x), d + 1.0, n  # the offset makes the gate fire at once
+
+
 def _halved_reversed(prior, noise_window, gamma_bar):
     """A stateless in-band custom rule."""
     return np.clip(0.5 * prior[::-1], -gamma_bar, gamma_bar)
@@ -381,6 +388,69 @@ class TestMonteCarlo:
                 iterations=150, num_taps=num_taps, reuse=reuse, seed=seed, **kwargs
             )
             _assert_lockstep_matches_run_single(config, algorithm, 4)
+
+    @pytest.mark.parametrize("reuse,num_taps", [(0, 3), (2, 3), (2, 10), (5, 12), (8, 64)])
+    @pytest.mark.parametrize("case", ["fixed", "sccv", "zero", "noise", "ap:0.9"])
+    def test_unregularized_lockstep_matches_run_single(self, case, reuse, num_taps):
+        # delta = 0, the paper's SM-AP: the padded lags of the first L steps
+        # leave the Gram matrix singular, and both engines solve the rest
+        kwargs = ENSEMBLE_CASES[case]
+        algorithm = AP if "ap_step" in kwargs else SMAP
+        for seed in (0, 1):
+            config = ScenarioConfig(
+                iterations=150, num_taps=num_taps, reuse=reuse, delta=0.0, seed=seed, **kwargs
+            )
+            _assert_lockstep_matches_run_single(config, algorithm, 4)
+
+    @pytest.mark.parametrize("runs", [1, 8, 65])
+    @pytest.mark.parametrize("reuse", [1, 2, 8])
+    @pytest.mark.parametrize("iterations", [1, 63, 64, 65, 200])
+    def test_per_run_steps_match_run_single(self, iterations, reuse, runs):
+        # runs jump to their own firing steps: chunk ends, ragged last
+        # chunks and a second block of runs must not move a bit
+        config = ScenarioConfig(
+            iterations=iterations, reuse=reuse, seed=iterations + runs, cv_strategy=sc_cv()
+        )
+        _assert_lockstep_matches_run_single(config, SMAP, runs)
+
+    def test_sparse_ensemble_solves_per_update_not_per_step(self, monkeypatch):
+        # each solve call serves one firing step of every run whose gate
+        # fires next, so a sparse ensemble needs far fewer calls than steps
+        calls = []
+        solve = sim.solve_spd_stack
+
+        def spy(G, b):
+            calls.append(len(G))
+            return solve(G, b)
+
+        monkeypatch.setattr(sim, "solve_spd_stack", spy)
+        config = ScenarioConfig(iterations=1000, seed=0, cv_strategy=sc_cv())
+        _assert_lockstep_matches_run_single(config, SMAP, 8)
+        assert 0 < len(calls) <= 0.3 * config.iterations
+
+    def test_earlier_failure_of_a_higher_run_wins(self, monkeypatch):
+        # The rule fails on a reference spike.  Run 0 never fires, so its
+        # first round takes it straight to its spike at step 40; run 1
+        # fires on its first steps and meets its spike at step 20 only in
+        # a later round of the same chunk.
+        def faulty(config, w0, rng):
+            x, d, n = generate_signals(config, w0, rng)
+            run = rng.bit_generator.seed_seq.spawn_key[0]
+            d = np.zeros_like(d) if run == 0 else d + 10.0
+            d[40 if run == 0 else 20] = 1e6
+            return x, d, n
+
+        def rule(prior, noise_window, gamma_bar):
+            return np.full(prior.size, (3.0 if abs(prior[0]) > 1e5 else 1.0) * gamma_bar)
+
+        monkeypatch.setattr(sim, "generate_signals", faulty)
+        config = ScenarioConfig(iterations=100, seed=6, cv_strategy=custom_cv(rule))
+        with pytest.raises(SimulationError) as single:
+            run_single(config, SMAP, run_rng(6, 1))
+        assert str(single.value).startswith("iteration 20: ")
+        with pytest.raises(SimulationError) as ensemble:
+            run_monte_carlo(config, SMAP, 2)
+        assert str(ensemble.value) == f"run 1 (seed 6): {single.value}"
 
     def test_blocks_join_in_run_order(self, monkeypatch):
         config = ScenarioConfig(iterations=60, seed=8, cv_strategy=sc_cv())
@@ -468,10 +538,11 @@ class TestMonteCarlo:
         got = run_monte_carlo(config, SMAP, np.int64(2))
         assert got.mse_curve.tobytes() == want.mse_curve.tobytes()
 
-    def test_failure_names_run_and_seed(self):
-        # the same singular warm-up as above, now inside an ensemble
+    def test_failure_names_run_and_seed(self, monkeypatch):
+        # the same singular windows as above, now inside an ensemble
+        monkeypatch.setattr(sim, "generate_signals", _zero_input)
         config = ScenarioConfig(iterations=5, delta=0.0, seed=2)
-        with pytest.raises(SimulationError, match=r"run 0 \(seed 2\): iteration 0"):
+        with pytest.raises(SimulationError, match=r"run 0 \(seed 2\): iteration 0: Gram"):
             run_monte_carlo(config, SMAP, 3)
 
     @pytest.mark.parametrize("fault", ["out-of-band", "wrong-shape"])

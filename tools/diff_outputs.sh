@@ -33,6 +33,10 @@ commands=(
     "mc --iters 300 --runs 4 --taps 20 --reuse 8 --algos smap:fixed,smap:sccv,ap:0.5"
     "mc --iters 300 --runs 4 --ar=-0.5 --taps 64 --algos smap:fixed,ap:0.5"
     "verify --instances 200"
+    "mc --iters 2000 --runs 8 --algos smap:sccv,smap:zero,smap:fixed,smap:noise --seed 7"
+    "mc --iters 1000 --runs 9 --reuse 1 --taps 3 --algos smap:sccv,smap:fixed --seed 11"
+    "mc --iters 1000 --runs 9 --reuse 0 --algos smap:sccv,smap:fixed --seed 12"
+    "mc --iters 777 --runs 130 --algos smap:sccv --seed 13"
 )
 
 # run_all TREE OUT: every command against TREE's sources, outputs under OUT
