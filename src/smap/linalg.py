@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InvalidInputError, SingularSystemError
 
-__all__ = ["gram", "solve_spd", "solve_spd_stack", "not_positive_definite", "all_finite"]
+__all__ = ["gram", "solve_spd", "solve_spd_stack", "all_finite"]
 
 
 def _lapack(*names: str) -> list:
@@ -94,7 +94,7 @@ def solve_spd(G: np.ndarray, b: np.ndarray, delta: float = 0.0) -> np.ndarray:
         G.flat[:: G.shape[0] + 1] += delta
     y = _cholesky_solve(G, b)
     if y is None:
-        raise not_positive_definite(delta)
+        raise SingularSystemError(f"Gram system is not positive definite (delta={delta:g})")
     return y
 
 
@@ -141,8 +141,3 @@ def _cholesky_solve(H: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     y = np.zeros(b.shape, order="F")
     y[:j] = lead
     return y
-
-
-def not_positive_definite(delta: float) -> SingularSystemError:
-    """The error a solve raises for a system that is not positive definite."""
-    return SingularSystemError(f"Gram system is not positive definite (delta={delta:g})")

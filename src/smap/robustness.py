@@ -35,7 +35,6 @@ __all__ = [
     "expands",
     "global_accumulate",
     "divergence_monitor",
-    "zero_energy",
 ]
 
 
@@ -153,17 +152,12 @@ def local_check(
     g1 = wt_sq_after + e_quad
     g2 = wt_sq_before + n_quad
     if g2 == 0.0:
-        raise zero_energy()
+        raise DegenerateDenominatorError("misalignment and noise energy are both zero")
     residual = abs(g1 - (g2 - rhs + lhs))
     return LocalRobustnessRecord(
         k, True, g1, g2, lhs, rhs, _classify(lhs, rhs),
         residual, wt_sq_after, e_quad, n_quad,
     )
-
-
-def zero_energy() -> DegenerateDenominatorError:
-    """The error an updating step with zero misalignment and noise energy raises."""
-    return DegenerateDenominatorError("misalignment and noise energy are both zero")
 
 
 def global_accumulate(

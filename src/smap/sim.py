@@ -16,17 +16,17 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .constraints import CUSTOM, NOISE, ConstraintStrategy, fixed_cv, make_cv, satisfies_bound
-from .errors import ConstraintBoundError, InvalidInputError, SimulationError, SmapError
+from .errors import InvalidInputError, SimulationError, SmapError
 from .filters import (
+    CV_BOUND_SLACK,
     DataWindow,
     FilterState,
     ap_update,
-    check_cv_bound,
     error_vector,
     indicator,
     smap_update,
 )
-from .linalg import all_finite, dgttrs, not_positive_definite, solve_spd_stack
+from .linalg import all_finite, dgttrs, solve_spd_stack
 from .robustness import (
     DivergenceMonitorRecord,
     GlobalRobustnessReport,
@@ -35,7 +35,6 @@ from .robustness import (
     expands,
     global_accumulate,
     local_check,
-    zero_energy,
 )
 
 SMAP = "smap"
@@ -405,8 +404,11 @@ def run_monte_carlo(config: ScenarioConfig, algorithm: str, runs: int) -> MonteC
     Each run draws its system and signals from a substream derived from
     the master seed and the run index, exactly as ``run_single`` does
     with ``run_rng(config.seed, run_index)``, so the ensemble is
-    reproducible and a failing run is reported with the run index and
-    seed that replay it.
+    reproducible.  The engine applies every check of ``run_single`` but
+    notes only each run's first failing step.  The lowest failing run at
+    the first failing step of the first failing block is then replayed
+    by ``run_single``, at most that run's steps, whose ``SmapError`` is
+    raised as ``run r (seed s): iteration k: ...`` from the same cause.
 
     The runs are advanced together, in blocks of ``_BLOCK_RUNS``, so
     peak memory grows with the block, not with ``runs``.  A block walks
@@ -421,10 +423,7 @@ def run_monte_carlo(config: ScenarioConfig, algorithm: str, runs: int) -> MonteC
     on every step, and at ``reuse == 0`` a product over several steps
     rounds unlike ``run_single``'s, so both advance one step per round.
     The energy terms, which never feed back into the recursion, are
-    folded in one pass at the end of the chunk.  Every check of
-    ``run_single`` applies, and the ``SmapError`` it would raise reads
-    ``run r (seed s): iteration k: ...``, naming the lowest failing run
-    at the first failing step of the first failing block.
+    folded in one pass at the end of the chunk.
 
     Both engines read the runs' data from one store, so products go
     through the same numpy loops as in ``run_single`` at every filter
@@ -437,7 +436,8 @@ def run_monte_carlo(config: ScenarioConfig, algorithm: str, runs: int) -> MonteC
     edge of the ``PRESERVE_RTOL`` tie band.
     A custom constraint rule is called once per firing run and step,
     round by round and in run order within a round, so a rule that keeps
-    state sees a different call order than under ``run_single``.
+    state sees a different call order than under ``run_single``.  If the
+    ensemble then fails where the replay does not, the error says so.
     """
     _check_algorithm(config, algorithm)
     try:
@@ -499,7 +499,17 @@ def _lockstep_block(
     w = np.zeros((R, N))
     errors = np.empty((K, R))
     noise_energy = np.zeros(R)
-    failed: dict[int, tuple[int, SmapError]] = {}  # run: (step, error)
+    bad = np.full(R, K + 1)  # each run's first failing step; K: zero denominator, K + 1: none
+    finite = np.isfinite(xs[:, :K]) & np.isfinite(ds[:, :K]) & np.isfinite(ns[:, :K])
+    if not finite.all():  # a non-finite sample fails at its step
+        np.minimum.at(bad, *np.nonzero(~finite[:, ::-1]))
+    kfail = int(bad.min())  # the first failing step found so far
+
+    def fail(rows: np.ndarray, steps, failing: np.ndarray) -> None:
+        """Fold runs ``rows[failing]``, at step ``steps`` or ``steps[failing]``, into ``bad``."""
+        nonlocal kfail
+        np.minimum.at(bad, rows[failing], np.broadcast_to(steps, rows.shape)[failing])
+        kfail = int(bad.min())
 
     def fire(rows: np.ndarray, c, ef: np.ndarray) -> None:
         """One firing step for runs ``rows``, each at its chunk column ``c``."""
@@ -515,39 +525,35 @@ def _lockstep_block(
             # the same loop as over the store, where a copy would go to BLAS
             Xt = np.ndarray((rows.size, m, N), g.dtype, g, 8 * m * (m + 1), (g.strides[0], 8, 8))
         if not ap and not all_finite(ef):  # the gate's check; AP has no gate
-            _record(failed, rows, steps, lambda i: indicator(ef[i, 0], gamma_bar))
+            fail(rows, steps, ~np.isfinite(ef[:, 0]))
         if ap:
             cv = np.zeros(ef.shape)
         elif strategy.kind == CUSTOM:
             cv = np.zeros(ef.shape)
-
-            def custom_row(i: int) -> None:
-                cv[i] = make_cv(strategy, ef[i], nf[i], gamma_bar, enforce_bound=False)
-
-            _record(failed, rows, steps, custom_row)
+            for i in range(rows.size):
+                try:
+                    cv[i] = make_cv(strategy, ef[i], nf[i], gamma_bar, enforce_bound=False)
+                except SmapError:  # fails the bound check below, at this step
+                    cv[i] = np.nan
         else:
             cv = make_cv(strategy, ef, nf, gamma_bar, enforce_bound=False)
         if k0 < L:  # padded lags stay neutral, as in run_single
             np.copyto(cv, 0.0, where=lag > np.reshape(steps, (-1, 1)))
         if relaxed:
             relaxations[sel] += ~satisfies_bound(cv, gamma_bar)
-        elif not ap:
-            try:
-                check_cv_bound(cv, gamma_bar)
-            except ConstraintBoundError:
-                _record(failed, rows, steps, lambda i: check_cv_bound(cv[i], gamma_bar))
+        elif not ap and not np.abs(cv).max(initial=0.0) <= gamma_bar + CV_BOUND_SLACK:
+            fail(rows, steps, ~satisfies_bound(cv, gamma_bar + CV_BOUND_SLACK))  # NaN fails
         b = np.array((ef - cv, nf, cv)).transpose(1, 2, 0)  # right-hand side j is b[:, :, j]
         sols, singular = solve_spd_stack(G, b)
         if singular.any():
-            _record(failed, rows[singular], np.broadcast_to(steps, rows.shape)[singular],
-                    lambda i: _raise(not_positive_definite(delta)))
+            fail(rows, steps, singular)
         move = (sols[:, None, :, 0] @ Xt)[:, 0]
         if ap:
             move *= config.ap_step
         before = w[sel]
         w_new = before + move
         if not all_finite(w_new):
-            _record(failed, rows, steps, lambda i: FilterState(w_new[i]))
+            fail(rows, steps, ~np.isfinite(w_new).all(axis=1))
         log.append((steps, rows, nf, cv, sols, before))
         if rows.size == R:  # w is replaced, not written to: before may be a view of it
             w = w_new
@@ -574,16 +580,16 @@ def _lockstep_block(
                 rows = every if ap else (~(np.abs(e0) <= gamma_bar)).nonzero()[0]
                 if rows.size:
                     fire(rows, c, e if rows.size == R else e[rows])
-                if failed:
+                if kfail <= k1 - 1 - c:  # every run is checked up to the first failure
                     break
         else:
             # Each run keeps its own step.  A round takes every run's prior
             # errors from its step on in one product under its present w,
             # records them up to its next step whose gate fires or must
-            # reject a non-finite error, and fires it there.
+            # reject a non-finite error, and fires it there.  Rounds end at
+            # the first failing step: a failed run's next step is past it.
             at = np.zeros(R, dtype=np.intp)  # each run's next step, counted from k0
-            end = C
-            while (p := int(at.min())) < end:
+            while (p := int(at.min())) < (end := min(C, kfail - k0 + 1)):
                 h, a = end - p, C - end  # steps k0+p to k0+end-1 are columns a+h-1 to a
                 e = dc[:, a : a + h + L] - (xc[:, a : a + h + L] @ w[:, :, None])[:, :, 0]
                 e0 = e[:, h - 1 :: -1]  # e0[:, i] is step k0+p+i's
@@ -597,11 +603,9 @@ def _lockstep_block(
                 if rows.size:
                     lags = np.ndarray((R, h, m), buffer=e, strides=(e.strides[0], 8, 8))
                     fire(rows, a + q, lags[rows, q])
-                if failed:  # a failed run's next step is past its failure
-                    end = min(k for k, _ in failed.values()) - k0 + 1
         if log:
             # The energy terms never feed back into the recursion, so each
-            # chunk folds them in one pass, before any failure is raised.
+            # chunk folds them in one pass, before any failure is replayed.
             steps, hits, nfs, cvs, solss, befores = zip(*log)
             hit, nf, cv, sols = map(np.concatenate, (hits, nfs, cvs, solss))
             noise_quad = np.einsum("ij,ij->i", nf, sols[:, :, 1])
@@ -611,47 +615,29 @@ def _lockstep_block(
             violations += np.bincount(hit[expands(lhs, rhs)], minlength=R)
             noise_energy += np.bincount(hit, noise_quad, R)
             # local_check's last test: g2 = misalignment + noise term may vanish
-            zero = (noise_quad == 0.0).nonzero()[0]
-            if zero.size:
-                wt = w0[hit[zero]] - np.concatenate(befores)[zero]
-                zero = zero[np.einsum("ij,ij->i", wt, wt) == 0.0]
+            if not noise_quad.all():
+                wt = w0[hit] - np.concatenate(befores)
                 steps = np.concatenate([np.broadcast_to(k, r.shape) for k, r in zip(steps, hits)])
-                _record(failed, hit[zero], steps[zero], lambda i: _raise(zero_energy()))
-        if failed:
-            r = min(failed, key=lambda r: (failed[r][0], r))  # first step, then lowest run
-            k, err = failed[r]
-            raise SimulationError(
-                f"run {first + r} (seed {config.seed}): iteration {k}: {err}"
-            ) from err
-    denominators = np.einsum("ij,ij->i", w0, w0) + noise_energy
-    if not denominators.all():
-        r = int(np.flatnonzero(denominators == 0.0)[0])
-        raise SimulationError(
-            f"run {first + r} (seed {config.seed}): energy-ratio denominator is zero"
-        )
+                fail(hit, steps, (noise_quad == 0.0) & (np.einsum("ij,ij->i", wt, wt) == 0.0))
+        if kfail < k1:
+            break
+    fail(every, K, np.einsum("ij,ij->i", w0, w0) + noise_energy == 0.0)  # the denominators
+    if kfail <= K:  # the lowest failing run at the first failing step
+        _replay(config, algorithm, first + int(bad.argmin()), kfail)
     squared = errors**2
     for r in range(R):
         mse += squared[:, r]
 
 
-def _record(failed: dict, rows: np.ndarray, steps, check) -> None:
-    """Call ``check(i)`` for each position ``i`` in ``rows``, at step ``steps[i]`` or ``steps``.
-
-    A ``SmapError`` it raises is kept in ``failed`` as run ``rows[i]``'s
-    ``(step, error)`` unless the run failed at that step or before.  The
-    stages of a step run in ``run_single``'s order, so a run keeps the
-    error that ``run_single`` would raise.
-    """
-    for i, (r, k) in enumerate(zip(rows.tolist(), np.broadcast_to(steps, rows.shape).tolist())):
-        try:
-            check(i)
-        except SmapError as err:
-            if r not in failed or k < failed[r][0]:
-                failed[r] = (k, err)
-
-
-def _raise(err: SmapError) -> None:
-    raise err
+def _replay(config: ScenarioConfig, algorithm: str, run: int, step: int) -> None:
+    """Raise the error of ensemble run ``run``, failing at ``step``, that ``run_single`` raises."""
+    where = f"run {run} (seed {config.seed})"
+    try:
+        run_single(config, algorithm, run_rng(config.seed, run))
+    except SmapError as err:
+        raise SimulationError(f"{where}: {err}") from (err.__cause__ or err)
+    # only a custom rule that keeps state can fail in the ensemble and not alone
+    raise SimulationError(f"{where}: failed at iteration {step}, but its replay did not fail")
 
 
 def steady_state_db(mse_curve: np.ndarray, fraction: float = 0.2) -> float:

@@ -212,6 +212,15 @@ class TestMcCommand:
         trace = run_single(ScenarioConfig(iterations=50), SMAP, run_rng(0, 0))
         npt.assert_array_equal(column, trace.squared_error)
 
+    def test_singular_leading_block_fails_with_run_and_seed(self, tmp_path, capsys):
+        # at delta = 0 run 2's Gram system is numerically singular at step 5
+        argv = ["mc", "--delta", "0", "--taps", "16", "--reuse", "9", "--iters", "130",
+                "--runs", "3", "--seed", "25", "--algos", "smap:sccv", "--out-dir", str(tmp_path)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: run 2 (seed 25): iteration 5: Gram system is not positive definite (delta=0)\n"
+        )
+
 
 class TestReplay:
     def test_run_index_draws_that_run_of_the_ensemble(self, tmp_path, capsys):

@@ -347,6 +347,11 @@ def _zero_input(config, w0, rng):
     return np.zeros_like(x), d + 1.0, n  # the offset makes the gate fire at once
 
 
+def _cause(err):
+    """The type and text of the error an ensemble or run failure was raised from."""
+    return type(err.__cause__), str(err.__cause__)
+
+
 def _halved_reversed(prior, noise_window, gamma_bar):
     """A stateless in-band custom rule."""
     return np.clip(0.5 * prior[::-1], -gamma_bar, gamma_bar)
@@ -452,6 +457,67 @@ class TestMonteCarlo:
             run_monte_carlo(config, SMAP, 2)
         assert str(ensemble.value) == f"run 1 (seed 6): {single.value}"
 
+    @pytest.mark.parametrize("series", ["x", "d", "n"])
+    @pytest.mark.parametrize(
+        "algorithm,kwargs",
+        [
+            pytest.param(SMAP, {"cv_strategy": sc_cv()}, id="smap:sccv"),
+            pytest.param(SMAP, {"cv_strategy": fixed_cv(), "reuse": 0}, id="smap:fixed-reuse0"),
+            pytest.param(AP, {"ap_step": 0.9}, id="ap:0.9"),
+        ],
+    )
+    def test_non_finite_sample_fails_as_in_run_single(self, monkeypatch, algorithm, kwargs, series):
+        # per-run steps, one step per round, and AP: a NaN in run 2's input,
+        # reference or noise fails the window that takes it in, at step 30
+        def faulty(config, w0, rng):
+            signals = dict(zip("xdn", generate_signals(config, w0, rng)))
+            if rng.bit_generator.seed_seq.spawn_key == (2,):
+                signals[series][30] = np.nan
+            return signals["x"], signals["d"], signals["n"]
+
+        monkeypatch.setattr(sim, "generate_signals", faulty)
+        config = ScenarioConfig(iterations=100, seed=1, **kwargs)
+        with pytest.raises(SimulationError) as single:
+            run_single(config, algorithm, run_rng(1, 2))
+        name = series.upper() if series == "x" else series
+        assert str(single.value) == f"iteration 30: window {name} must be finite"
+        with pytest.raises(SimulationError) as ensemble:
+            run_monte_carlo(config, algorithm, 4)
+        assert str(ensemble.value) == f"run 2 (seed 1): {single.value}"
+
+    @pytest.mark.parametrize("case", list(ENSEMBLE_CASES))
+    def test_passing_ensemble_never_replays(self, monkeypatch, case):
+        # run_single is called only to replay a failure
+        calls = []
+        monkeypatch.setattr(sim, "run_single", lambda *args: calls.append(args))
+        kwargs = ENSEMBLE_CASES[case]
+        algorithm = AP if "ap_step" in kwargs else SMAP
+        run_monte_carlo(ScenarioConfig(iterations=150, seed=2, **kwargs), algorithm, 4)
+        assert calls == []
+
+    def test_failure_its_replay_does_not_repeat_is_reported(self):
+        # A rule that keeps state: out of band on its fifth call only, which
+        # the replay, counting on from the ensemble's calls, never makes.
+        # The prior error of that call finds its run and step.
+        seed, priors = 3, []
+
+        def rule(prior, noise_window, gamma_bar):
+            priors.append(prior[0])
+            if len(priors) == 5:
+                return np.full(prior.size, 2.0 * gamma_bar)
+            return _halved_reversed(prior, noise_window, gamma_bar)
+
+        plain = ScenarioConfig(iterations=100, seed=seed, cv_strategy=custom_cv(_halved_reversed))
+        traces = [run_single(plain, SMAP, run_rng(seed, run)) for run in range(3)]
+        with pytest.raises(SimulationError) as ensemble:
+            run_monte_carlo(replace(plain, cv_strategy=custom_cv(rule)), SMAP, 3)
+        (run, step), = [
+            (run, k) for run in range(3) for k in np.flatnonzero(traces[run].errors == priors[4])
+        ]
+        assert str(ensemble.value) == (
+            f"run {run} (seed {seed}): failed at iteration {step}, but its replay did not fail"
+        )
+
     def test_blocks_join_in_run_order(self, monkeypatch):
         config = ScenarioConfig(iterations=60, seed=8, cv_strategy=sc_cv())
         whole = run_monte_carlo(config, SMAP, 5)
@@ -542,8 +608,12 @@ class TestMonteCarlo:
         # the same singular windows as above, now inside an ensemble
         monkeypatch.setattr(sim, "generate_signals", _zero_input)
         config = ScenarioConfig(iterations=5, delta=0.0, seed=2)
-        with pytest.raises(SimulationError, match=r"run 0 \(seed 2\): iteration 0: Gram"):
+        with pytest.raises(SimulationError) as single:
+            run_single(config, SMAP, run_rng(2, 0))
+        with pytest.raises(SimulationError) as ensemble:
             run_monte_carlo(config, SMAP, 3)
+        assert re.match(r"run 0 \(seed 2\): iteration 0: Gram", str(ensemble.value))
+        assert _cause(ensemble.value) == _cause(single.value)
 
     @pytest.mark.parametrize("fault", ["out-of-band", "wrong-shape"])
     def test_later_run_failure_replays_with_run_single(self, fault):
@@ -574,6 +644,7 @@ class TestMonteCarlo:
         step, run = min(replays)
         assert run > 0
         assert str(ensemble.value) == f"run {run} (seed {seed}): {replays[(step, run)]}"
+        assert _cause(ensemble.value) == _cause(replays[(step, run)])
 
     def test_zero_energy_step_fails_as_in_run_single(self, monkeypatch):
         # a zero system and zero noise leave the baseline's first step with
@@ -590,6 +661,7 @@ class TestMonteCarlo:
         with pytest.raises(SimulationError) as ensemble:
             run_monte_carlo(config, AP, 3)
         assert str(ensemble.value) == f"run 0 (seed 4): {single.value}"
+        assert _cause(ensemble.value) == _cause(single.value)
 
     @pytest.mark.parametrize("fault", ["out-of-band", "wrong-shape"])
     @pytest.mark.parametrize("chunk", [1, 2])

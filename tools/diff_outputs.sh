@@ -5,10 +5,10 @@
 #
 # Exports REV into a temporary directory, runs the same smap commands
 # in both trees with the same --out-dir names, and compares trace.csv,
-# summary.txt, mse.csv and each command's stdout with diff -r.  Exits
-# nonzero on any difference, or when a command fails in either tree.  The
-# directory is removed on exit.  The commands are those whose digests
-# tests/test_golden.py pins, and a few more.
+# summary.txt, mse.csv and each command's stdout, stderr and exit status
+# with diff -r, so a command that fails is compared too.  Exits nonzero on
+# any difference.  The directory is removed on exit.  The commands are
+# those whose digests tests/test_golden.py pins, and a few more.
 set -euo pipefail
 
 rev=${1:?usage: tools/diff_outputs.sh REV}
@@ -37,21 +37,29 @@ commands=(
     "mc --iters 1000 --runs 9 --reuse 1 --taps 3 --algos smap:sccv,smap:fixed --seed 11"
     "mc --iters 1000 --runs 9 --reuse 0 --algos smap:sccv,smap:fixed --seed 12"
     "mc --iters 777 --runs 130 --algos smap:sccv --seed 13"
+    "mc --delta 0 --taps 16 --reuse 9 --iters 130 --runs 3 --seed 25 --algos smap:sccv"
+    "mc --delta 0 --taps 16 --reuse 9 --iters 130 --runs 3 --seed 25 --algos ap:0.9"
 )
 
-# run_all TREE OUT: every command against TREE's sources, outputs under OUT
+# run_all TREE OUT: every command against TREE's sources, outputs under OUT;
+# cmdN.stdout gets command N's stdout, then its stderr and exit status
 run_all() {
     mkdir -p "$2"
     cd "$2"
-    local i=0 cmd
+    local i=0 cmd out status
     for cmd in "${commands[@]}"; do
         i=$((i + 1))
         echo "\$ smap $cmd" > "cmd$i.stdout"
         case $cmd in
-            verify*) PYTHONPATH="$1/src" python3 -m smap $cmd >> "cmd$i.stdout" ;;
-            *) PYTHONPATH="$1/src" python3 -m smap $cmd --out-dir "cmd$i" >> "cmd$i.stdout" ;;
+            verify*) out=() ;;
+            *) out=(--out-dir "cmd$i") ;;
         esac
+        status=0
+        PYTHONPATH="$1/src" python3 -m smap $cmd "${out[@]}" >> "cmd$i.stdout" 2> stderr || status=$?
+        cat stderr >> "cmd$i.stdout"
+        echo "exit status $status" >> "cmd$i.stdout"
     done
+    rm -f stderr
 }
 
 (run_all "$tmp/base" "$tmp/out/base")
