@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NoReturn, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -629,7 +629,7 @@ def _lockstep_block(
         mse += squared[:, r]
 
 
-def _replay(config: ScenarioConfig, algorithm: str, run: int, step: int) -> None:
+def _replay(config: ScenarioConfig, algorithm: str, run: int, step: int) -> NoReturn:
     """Raise the error of ensemble run ``run``, failing at ``step``, that ``run_single`` raises."""
     where = f"run {run} (seed {config.seed})"
     try:
