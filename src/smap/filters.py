@@ -16,6 +16,7 @@ from typing import Optional
 
 import numpy as np
 
+from .constraints import CV_BOUND_SLACK, satisfies_bound
 from .errors import ConstraintBoundError, InvalidInputError
 from .linalg import all_finite, gram, solve_spd
 
@@ -25,23 +26,16 @@ PRESERVE = "preserve"
 EXPAND = "expand"
 NO_UPDATE = "no-update"
 
-# Absolute slack when validating constraint components against the
-# threshold.  Regularized steps leave posterior errors a hair outside the
-# band, and error-reusing strategies feed those back in as constraints.
-CV_BOUND_SLACK = 1e-8
-
 __all__ = [
     "CONTRACT",
     "PRESERVE",
     "EXPAND",
     "NO_UPDATE",
-    "CV_BOUND_SLACK",
     "FilterState",
     "DataWindow",
     "UpdateOutcome",
     "error_vector",
     "indicator",
-    "check_cv_bound",
     "smap_update",
     "ap_update",
 ]
@@ -140,19 +134,6 @@ def indicator(e0: float, gamma_bar: float) -> bool:
     return abs(e0) > gamma_bar
 
 
-def check_cv_bound(cv: np.ndarray, gamma_bar: float) -> None:
-    """Reject constraint components above ``gamma_bar`` plus ``CV_BOUND_SLACK``.
-
-    A NaN component fails too.  ``cv`` may be one vector or a stack of
-    them; the error names the largest magnitude in it.  An empty ``cv`` passes.
-    """
-    top = np.abs(cv).max(initial=0.0)  # NaN if any component is
-    if not top <= gamma_bar + CV_BOUND_SLACK:
-        raise ConstraintBoundError(
-            f"constraint magnitude {top:.6g} exceeds threshold {gamma_bar:.6g}"
-        )
-
-
 def smap_update(
     state: FilterState,
     window: DataWindow,
@@ -197,8 +178,10 @@ def smap_update(
         raise InvalidInputError(
             f"constraint shape {cv.shape} does not match window width {window.d.shape[0]}"
         )
-    if enforce_cv_bound:
-        check_cv_bound(cv, gamma_bar)
+    if enforce_cv_bound and not satisfies_bound(cv, gamma_bar + CV_BOUND_SLACK):
+        raise ConstraintBoundError(
+            f"constraint magnitude {np.abs(cv).max():.6g} exceeds threshold {gamma_bar:.6g}"
+        )
     e = error_vector(state, window)
     if not indicator(e[0], gamma_bar):
         return state, UpdateOutcome(False, e)

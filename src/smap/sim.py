@@ -8,6 +8,7 @@ monitor attached, and averages Monte-Carlo ensembles.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from typing import NoReturn, Optional
@@ -15,17 +16,17 @@ from typing import NoReturn, Optional
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .constraints import CUSTOM, NOISE, ConstraintStrategy, fixed_cv, make_cv, satisfies_bound
-from .errors import InvalidInputError, SimulationError, SmapError
-from .filters import (
+from .constraints import (
+    CUSTOM,
     CV_BOUND_SLACK,
-    DataWindow,
-    FilterState,
-    ap_update,
-    error_vector,
-    indicator,
-    smap_update,
+    NOISE,
+    ConstraintStrategy,
+    fixed_cv,
+    make_cv,
+    satisfies_bound,
 )
+from .errors import InvalidInputError, SimulationError, SmapError
+from .filters import DataWindow, FilterState, ap_update, error_vector, indicator, smap_update
 from .linalg import all_finite, dgttrs, solve_spd_stack
 from .robustness import (
     DivergenceMonitorRecord,
@@ -93,6 +94,14 @@ class ScenarioConfig:
                 operator.index(getattr(self, name))  # numpy integers pass, floats do not
             except TypeError as err:
                 raise InvalidInputError(f"{name} must be an integer: {err}", field=name) from None
+        for name in ("gamma_bar", "delta", "noise_variance", "ar_coefficient", "snr_db", "ap_step"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) and (name != "ap_step" or value is not None):
+                raise InvalidInputError(f"{name} must be a real number, got {value!r}", field=name)
+        require(
+            isinstance(self.cv_strategy, ConstraintStrategy), "cv_strategy",
+            f"cv_strategy must be a ConstraintStrategy, got {self.cv_strategy!r}",
+        )
         require(self.seed >= 0, "seed", f"seed must be nonnegative, got {self.seed}")
         require(self.num_taps >= 1, "num_taps", f"need at least one tap, got {self.num_taps}")
         require(
@@ -381,8 +390,6 @@ def run_single(
             local_records.append(record)
             misalignment[k + 1] = record.w_tilde_sq_after
             div_records.append(div)
-    except SimulationError:
-        raise
     except SmapError as err:
         raise SimulationError(f"iteration {k}: {err}") from err
     report = global_accumulate(local_records, misalignment[0], misalignment[K])
@@ -541,8 +548,8 @@ def _lockstep_block(
             np.copyto(cv, 0.0, where=lag > np.reshape(steps, (-1, 1)))
         if relaxed:
             relaxations[sel] += ~satisfies_bound(cv, gamma_bar)
-        elif not ap and not np.abs(cv).max(initial=0.0) <= gamma_bar + CV_BOUND_SLACK:
-            fail(rows, steps, ~satisfies_bound(cv, gamma_bar + CV_BOUND_SLACK))  # NaN fails
+        elif not ap and not satisfies_bound(cv.ravel(), gamma_bar + CV_BOUND_SLACK):
+            fail(rows, steps, ~satisfies_bound(cv, gamma_bar + CV_BOUND_SLACK))
         b = np.array((ef - cv, nf, cv)).transpose(1, 2, 0)  # right-hand side j is b[:, :, j]
         sols, singular = solve_spd_stack(G, b)
         if singular.any():

@@ -40,6 +40,13 @@ class TestRunCommand:
         assert "updates: " in out
         assert "wrote " in out and str(tmp_path) in out
 
+    def test_prints_relaxation_count(self, tmp_path, capsys):
+        argv = ["run", "--iters", "2000", "--cv", "noise", "--noise-scale", "2", "--seed", "5"]
+        assert main([*argv, "--out-dir", str(tmp_path)]) == 0
+        count = re.search(r"^cv-relaxations: (\d+)$", (tmp_path / "summary.txt").read_text(), re.M)
+        assert int(count[1]) > 0
+        assert f"\nconstraint relaxations: {count[1]}\n" in capsys.readouterr().out
+
     def test_zero_iterations_gives_header_only(self, tmp_path):
         rc = main(["run", "--iters", "0", "--out-dir", str(tmp_path)])
         assert rc == 0
@@ -95,6 +102,9 @@ class TestRunCommand:
             ["run", "--cv", "noise", "--noise-scale", "inf"],
             ["mc", "--algos", "smap:noise", "--noise-scale", "inf"],
             ["run", "--run-index", "-1"],
+            ["mc", "--algos", "foo:1"],
+            ["mc", "--algos", ","],
+            ["verify", "--instances", "-1"],
         ],
     )
     def test_usage_errors_exit_2(self, argv, tmp_path, monkeypatch, capsys):

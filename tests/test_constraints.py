@@ -87,6 +87,12 @@ def test_noise_out_of_band_raises_unless_relaxed():
     npt.assert_allclose(cv, [0.4, 0.0, 0.0])
 
 
+def test_noise_nan_component_fails_the_bound():
+    n = np.array([np.nan, 0.0, 0.0])
+    with pytest.raises(ConstraintBoundError):
+        make_cv(noise_cv(1.0), np.zeros(3), n, GAMMA, enforce_bound=True)
+
+
 def test_zero_strategy():
     npt.assert_array_equal(make_cv(zero_cv(), np.ones(3), None, GAMMA), np.zeros(3))
 

@@ -7,13 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smap.constrained_ls import ConstrainedLSProblem, solve_constrained
+from smap.constraints import CV_BOUND_SLACK, satisfies_bound
 from smap.errors import ConstraintBoundError, InvalidInputError, SingularSystemError
 from smap.filters import (
-    CV_BOUND_SLACK,
     DataWindow,
     FilterState,
     ap_update,
-    check_cv_bound,
     error_vector,
     indicator,
     smap_update,
@@ -41,13 +40,25 @@ def test_state_rejects_non_finite_coefficients_anywhere(bad):
 
 @pytest.mark.parametrize("shape", [(4,), (3, 4)])
 def test_cv_bound_rejects_nan_in_any_position(shape):
+    # one vector goes through smap_update's check, a stack through the mask;
+    # zero data keep the error in band, so only the bound is tested
+    state, window = FilterState.zeros(4), DataWindow(np.eye(4), np.zeros(4))
+    bound = GAMMA + CV_BOUND_SLACK
+    edge = np.full(shape, GAMMA + 0.5 * CV_BOUND_SLACK)
     for index in np.ndindex(shape):
         cv = np.zeros(shape)
         cv[index] = np.nan
-        with pytest.raises(ConstraintBoundError):
-            check_cv_bound(cv, GAMMA)
-    check_cv_bound(np.full(shape, GAMMA + 0.5 * CV_BOUND_SLACK), GAMMA)
-    check_cv_bound(np.zeros(0), GAMMA)  # an empty vector has nothing out of band
+        if cv.ndim == 1:
+            with pytest.raises(ConstraintBoundError, match="constraint magnitude nan"):
+                smap_update(state, window, cv, GAMMA, enforce_cv_bound=True)
+        else:
+            assert satisfies_bound(cv, bound).tolist() == [r != index[0] for r in range(shape[0])]
+    if edge.ndim == 1:
+        assert smap_update(state, window, edge, GAMMA, enforce_cv_bound=True)[0] is state
+    else:
+        assert satisfies_bound(edge, bound).all()
+    assert satisfies_bound(np.zeros(0), bound) is True  # an empty vector has nothing out of band
+    assert satisfies_bound(np.zeros((3, 0)), bound).all()
 
 
 def test_window_validation():

@@ -66,6 +66,9 @@ class TestScenarioConfig:
             {"iterations": 2.5},
             {"seed": 1.5},
             {"seed": -1},
+            {"cv_strategy": "fixed"},
+            {"gamma_bar": "0.2"},
+            {"ap_step": "0.5"},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -645,6 +648,22 @@ class TestMonteCarlo:
         assert run > 0
         assert str(ensemble.value) == f"run {run} (seed {seed}): {replays[(step, run)]}"
         assert _cause(ensemble.value) == _cause(replays[(step, run)])
+
+    def test_rule_raising_simulation_error_names_its_iteration(self):
+        # a stateless rule that raises SimulationError on a large error is
+        # reported with its iteration, like any other SmapError
+        def rule(prior, noise_window, gamma_bar):
+            if abs(prior[0]) > 2.0:
+                raise SimulationError("boom")
+            return np.full(prior.size, gamma_bar)
+
+        config = ScenarioConfig(iterations=100, seed=3, cv_strategy=custom_cv(rule))
+        with pytest.raises(SimulationError) as single:
+            run_single(config, SMAP, run_rng(3, 1))
+        assert str(single.value) == "iteration 6: boom"
+        with pytest.raises(SimulationError) as ensemble:
+            run_monte_carlo(config, SMAP, 4)
+        assert str(ensemble.value) == "run 1 (seed 3): iteration 6: boom"
 
     def test_zero_energy_step_fails_as_in_run_single(self, monkeypatch):
         # a zero system and zero noise leave the baseline's first step with

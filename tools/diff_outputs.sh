@@ -23,6 +23,7 @@ commands=(
     "run --iters 2000 --reuse 5 --taps 12 --seed 3"
     "run --iters 2000 --cv sccv --seed 3"
     "run --iters 2000 --cv noise --noise-scale 0.5 --seed 5"
+    "run --iters 2000 --cv noise --noise-scale 2 --seed 5"
     "run --iters 1000 --mu 0.5"
     "run --iters 1000 --ar=-0.9 --seed 2"
     "run --iters 500 --ar=0 --taps 1 --reuse 0 --seed 6"
