@@ -12,7 +12,6 @@ import argparse
 import contextlib
 import csv
 import io
-import operator
 import os
 import sys
 import tempfile
@@ -25,7 +24,7 @@ import numpy as np
 from . import filters, robustness
 from .constrained_ls import ConstrainedLSProblem, solve_constrained
 from .constraints import CUSTOM, KINDS, NOISE, ConstraintStrategy
-from .errors import InvalidInputError, SmapError
+from .errors import InvalidInputError, SmapError, integer, require
 from .filters import DataWindow, FilterState
 from .sim import (
     AP,
@@ -61,7 +60,6 @@ _SCENARIO_FLAGS = (
     ("iters", "iterations", "iterations per run"),
     ("seed", "seed", "master RNG seed"),
 )
-_FIELD_FLAGS = {name: flag for flag, name, _ in _SCENARIO_FLAGS}
 _FIELD_TYPES = get_type_hints(ScenarioConfig)
 _FIELD_DEFAULTS = {f.name: f.default for f in fields(ScenarioConfig)}
 
@@ -235,25 +233,14 @@ def verify_update_against_kkt(
     errors are compared against their target and the per-step energy
     identity is evaluated on the same step.
     """
-    counts = {"instances": instances, "num_taps": num_taps, "max_reuse": max_reuse}
-    for name, value in counts.items():
-        try:
-            operator.index(value)  # numpy integers pass, floats do not
-        except TypeError:
-            message = f"{name} must be an integer, got {value!r}"
-            raise InvalidInputError(message, field=name) from None
-    if instances < 0:
-        raise InvalidInputError(f"instance count must be nonnegative, got {instances}")
-    if not 0 <= max_reuse < num_taps:
-        raise InvalidInputError(
-            f"largest reuse factor must lie in [0, {num_taps - 1}], got {max_reuse}"
-        )
-    try:
-        rng = np.random.default_rng(operator.index(seed))
-    except (TypeError, ValueError):  # a float seed, or a negative one
-        raise InvalidInputError(
-            f"seed must be a nonnegative integer, got {seed!r}", field="seed"
-        ) from None
+    instances = integer(instances, "instances")
+    num_taps = integer(num_taps, "num_taps", 1)
+    max_reuse = integer(max_reuse, "max_reuse")
+    require(
+        max_reuse < num_taps, "max_reuse",
+        f"largest reuse factor must lie in [0, {num_taps - 1}], got {max_reuse}",
+    )
+    rng = np.random.default_rng(integer(seed, "seed"))
     max_update = max_post = max_resid = 0.0
     worst_gap, worst_index = -1.0, -1
     produced = 0
@@ -293,8 +280,8 @@ def _add_scenario_flags(sub: argparse.ArgumentParser) -> None:
                          default=_FIELD_DEFAULTS[name], help=help_text)
     sub.add_argument("--cv", choices=_CV_CHOICES, default="fixed",
                      help="constraint-vector strategy")
-    sub.add_argument("--noise-scale", type=float, default=1.0,
-                     help="multiplier for the noise strategy")
+    sub.add_argument("--noise-scale", dest="scale", metavar="NOISE_SCALE", type=float,
+                     default=1.0, help="multiplier for the noise strategy")
     sub.add_argument("--out-dir", type=Path, default=Path("."), help="output directory")
     sub.add_argument("--config", type=Path, default=None,
                      help="key=value file supplying flag defaults")
@@ -309,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="trace a single run")
     _add_scenario_flags(run_p)
-    run_p.add_argument("--mu", type=float, default=None,
+    run_p.add_argument("--mu", dest="ap_step", metavar="MU", type=float, default=None,
                        help="run the plain projection baseline with this step size (ignores --cv)")
     run_p.add_argument("--run-index", type=int, default=0, metavar="I",
                        help="draw run I of an mc ensemble with the same flags, to replay it")
@@ -325,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify_p = sub.add_parser("verify", help="cross-check the update against the stacked solver")
     verify_p.add_argument("--instances", type=int, default=1000, help="random instances to sweep")
-    verify_p.add_argument("--taps", type=int, default=10, help="number of adaptive coefficients")
+    verify_p.add_argument("--taps", dest="num_taps", metavar="TAPS", type=int, default=10,
+                          help="number of adaptive coefficients")
     verify_p.add_argument("--max-reuse", type=int, default=2, help="largest reuse factor to cycle")
     verify_p.add_argument("--seed", type=int, default=0, help="sweep RNG seed")
     verify_p.add_argument("--config", type=Path, default=None,
@@ -351,16 +339,14 @@ def _config_tokens(path: Path) -> list[str]:
 def _scenario_from_args(args: argparse.Namespace) -> ScenarioConfig:
     return ScenarioConfig(
         **{name: getattr(args, name) for _, name, _ in _SCENARIO_FLAGS},
-        cv_strategy=ConstraintStrategy(args.cv, args.noise_scale),
-        ap_step=getattr(args, "mu", None),
+        cv_strategy=ConstraintStrategy(args.cv, args.scale),
+        ap_step=getattr(args, "ap_step", None),
     )
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    algorithm = AP if args.mu is not None else SMAP
+    algorithm = AP if args.ap_step is not None else SMAP
     config = _scenario_from_args(args)
-    if args.run_index < 0:
-        raise InvalidInputError(f"--run-index must be nonnegative, got {args.run_index}")
     trace = run_single(config, algorithm, run_rng(config.seed, args.run_index))
     bundle = write_run_outputs(trace, config, algorithm, args.out_dir, args.run_index)
     updates = int(trace.update_flags.sum())
@@ -375,25 +361,22 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def _parse_algo_token(token: str, base: ScenarioConfig) -> tuple[str, ScenarioConfig]:
     name, _, arg = token.partition(":")
-    if name == SMAP:
-        if not arg:  # a bare token takes --cv and --noise-scale
-            return SMAP, base
-        return SMAP, replace(base, cv_strategy=ConstraintStrategy(arg, base.cv_strategy.scale))
-    if name == AP:
-        try:
-            mu = float(arg)
-        except ValueError:
-            raise InvalidInputError(f"bad step size in {token!r}") from None
-        return AP, replace(base, ap_step=mu)
-    raise InvalidInputError(f"unknown algorithm in {token!r}")
+    try:
+        if name == SMAP:
+            if not arg:  # a bare token takes --cv and --noise-scale
+                return SMAP, base
+            return SMAP, replace(base, cv_strategy=ConstraintStrategy(arg, base.cv_strategy.scale))
+        if name == AP:
+            return AP, replace(base, ap_step=float(arg))
+    except ValueError as err:  # the library's rejection, or a step size that is no number
+        raise InvalidInputError(f"{token!r}: {err}", field="algos") from None
+    raise InvalidInputError(f"unknown algorithm in {token!r}", field="algos")
 
 
 def cmd_mc(args: argparse.Namespace) -> int:
     tokens = [t.strip() for t in args.algos.split(",") if t.strip()]
-    if not tokens:
-        raise InvalidInputError("--algos must name at least one configuration")
-    if len(set(tokens)) != len(tokens):
-        raise InvalidInputError("--algos lists a configuration twice")
+    require(tokens, "algos", "names no configuration")
+    require(len(set(tokens)) == len(tokens), "algos", "lists a configuration twice")
     base = _scenario_from_args(args)
     # every token is checked before the first ensemble runs
     plan = [(token, *_parse_algo_token(token, base)) for token in tokens]
@@ -412,7 +395,7 @@ def cmd_mc(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    result = verify_update_against_kkt(args.instances, args.taps, args.max_reuse, args.seed)
+    result = verify_update_against_kkt(args.instances, args.num_taps, args.max_reuse, args.seed)
     print(f"instances: {result.instances}")
     print(f"max coefficient gap:      {result.max_update_gap:.3e}")
     print(f"max posterior-target gap: {result.max_posterior_gap:.3e}")
@@ -445,8 +428,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         return args.func(args)
     except InvalidInputError as err:
-        flag = _FIELD_FLAGS.get(err.field)
-        args.subparser.error(f"argument --{flag}: {err}" if flag else str(err))
+        # each flag's dest is the library's name for the value it sets
+        action = next((a for a in args.subparser._actions if a.dest == err.field), None)
+        args.subparser.error(str(argparse.ArgumentError(action, str(err))))
     except SmapError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

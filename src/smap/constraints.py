@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConstraintBoundError, InvalidInputError
+from .errors import ConstraintBoundError, InvalidInputError, real, require
 
 CvFn = Callable[[np.ndarray, Optional[np.ndarray], float], np.ndarray]
 
@@ -57,12 +57,16 @@ class ConstraintStrategy:
     fn: Optional[CvFn] = None  # custom kind only
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise InvalidInputError(f"unknown strategy kind {self.kind!r}")
-        if self.kind == NOISE and not 0.0 <= self.scale < np.inf:  # nan fails both comparisons
-            raise InvalidInputError(f"noise scale must be nonnegative and finite, got {self.scale}")
-        if self.kind == CUSTOM and self.fn is None:
-            raise InvalidInputError("custom strategy needs a callable")
+        require(self.kind in KINDS, "kind", f"unknown strategy kind {self.kind!r}")
+        real(self.scale, "scale")
+        require(
+            self.kind != NOISE or 0.0 <= self.scale < np.inf,  # nan fails both comparisons
+            "scale", f"noise scale must be nonnegative and finite, got {self.scale}",
+        )
+        require(
+            self.kind != CUSTOM or callable(self.fn), "fn",
+            f"custom strategy needs a callable, got {self.fn!r}",
+        )
 
 
 def fixed_cv() -> ConstraintStrategy:

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the argument checks that name their field."""
+
+import numbers
+import operator
 
 
 class SmapError(Exception):
@@ -31,3 +34,25 @@ class DegenerateDenominatorError(SmapError, ZeroDivisionError):
 class SimulationError(SmapError, RuntimeError):
     """A run failed mid-stream; the message names the iteration, and in an
     ensemble also the run index and the master seed that replay it."""
+
+
+def require(ok: bool, field: str, message: str) -> None:
+    """Raise ``InvalidInputError`` naming ``field`` unless ``ok``."""
+    if not ok:
+        raise InvalidInputError(message, field=field)
+
+
+def integer(value, field: str, low: int = 0) -> int:
+    """Return ``value`` as an ``int`` if it is an integer (numpy ones too) of at least ``low``."""
+    try:
+        value = operator.index(value)  # floats, strings and None raise
+        ok = value >= low
+    except TypeError:
+        ok = False
+    require(ok, field, f"{field} must be an integer >= {low}, got {value!r}")
+    return value
+
+
+def real(value, field: str) -> None:
+    """Check that ``value`` is a real number: an int, a float or a numpy one."""
+    require(isinstance(value, numbers.Real), field, f"{field} must be a real number, got {value!r}")

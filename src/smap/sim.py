@@ -8,8 +8,6 @@ monitor attached, and averages Monte-Carlo ensembles.
 from __future__ import annotations
 
 import math
-import numbers
-import operator
 from dataclasses import dataclass, field
 from typing import NoReturn, Optional
 
@@ -25,7 +23,7 @@ from .constraints import (
     make_cv,
     satisfies_bound,
 )
-from .errors import InvalidInputError, SimulationError, SmapError
+from .errors import SimulationError, SmapError, integer, real, require
 from .filters import DataWindow, FilterState, ap_update, error_vector, indicator, smap_update
 from .linalg import all_finite, dgttrs, solve_spd_stack
 from .robustness import (
@@ -83,29 +81,17 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        # each error names the field at fault, so a front end can name
-        # its own spelling of it
-        def require(ok: bool, name: str, message: str) -> None:
-            if not ok:
-                raise InvalidInputError(message, field=name)
-
-        for name in ("num_taps", "reuse", "iterations", "seed"):
-            try:
-                operator.index(getattr(self, name))  # numpy integers pass, floats do not
-            except TypeError as err:
-                raise InvalidInputError(f"{name} must be an integer: {err}", field=name) from None
+        for name, low in (("num_taps", 1), ("reuse", 0), ("iterations", 0), ("seed", 0)):
+            integer(getattr(self, name), name, low)
         for name in ("gamma_bar", "delta", "noise_variance", "ar_coefficient", "snr_db", "ap_step"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Real) and (name != "ap_step" or value is not None):
-                raise InvalidInputError(f"{name} must be a real number, got {value!r}", field=name)
+            if name != "ap_step" or self.ap_step is not None:
+                real(getattr(self, name), name)
         require(
             isinstance(self.cv_strategy, ConstraintStrategy), "cv_strategy",
             f"cv_strategy must be a ConstraintStrategy, got {self.cv_strategy!r}",
         )
-        require(self.seed >= 0, "seed", f"seed must be nonnegative, got {self.seed}")
-        require(self.num_taps >= 1, "num_taps", f"need at least one tap, got {self.num_taps}")
         require(
-            0 <= self.reuse < self.num_taps, "reuse",
+            self.reuse < self.num_taps, "reuse",
             f"reuse factor must lie in [0, {self.num_taps - 1}] for "
             f"{self.num_taps} taps, got {self.reuse}",
         )
@@ -134,10 +120,6 @@ class ScenarioConfig:
         require(
             abs(self.ar_coefficient) < 1.0, "ar_coefficient",
             f"autoregression coefficient must satisfy |a| < 1, got {self.ar_coefficient}",
-        )
-        require(
-            self.iterations >= 0, "iterations",
-            f"iteration count must be nonnegative, got {self.iterations}",
         )
         require(
             self.ap_step is None or 0.0 < self.ap_step <= 1.0, "ap_step",
@@ -215,9 +197,7 @@ class MonteCarloSummary:
 
 def generate_system(num_taps: int, rng: np.random.Generator) -> np.ndarray:
     """Draw the unknown system: i.i.d. standard-normal coefficients."""
-    if num_taps < 1:
-        raise InvalidInputError(f"need at least one tap, got {num_taps}")
-    return rng.standard_normal(num_taps)
+    return rng.standard_normal(integer(num_taps, "num_taps", 1))
 
 
 def generate_signals(
@@ -240,14 +220,14 @@ def generate_signals(
         ``config.iterations``.
     """
     w0 = np.asarray(w0, dtype=float)
-    if w0.shape != (config.num_taps,):
-        raise InvalidInputError(
-            f"system shape {w0.shape} does not match tap count {config.num_taps}"
-        )
+    require(
+        w0.shape == (config.num_taps,), "w0",
+        f"system shape {w0.shape} does not match tap count {config.num_taps}",
+    )
     a = config.ar_coefficient
     target = config.reference_power
     lags = np.arange(w0.size)
-    stationary_corr = a ** np.abs(lags[:, None] - lags[None, :])
+    stationary_corr = (a**lags)[np.abs(lags[:, None] - lags)]  # a ** |i - j|
     response = float(w0 @ stationary_corr @ w0)
     input_var = target / response if response > 0.0 else target
     drive_std = float(np.sqrt(input_var * (1.0 - a * a)))
@@ -278,7 +258,8 @@ def _ar1(u: np.ndarray, a: float) -> np.ndarray:
 
 def run_rng(seed: int, run_index: int) -> np.random.Generator:
     """Independent, reproducible stream for one run of an experiment."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(run_index,)))
+    key = (integer(run_index, "run_index"),)
+    return np.random.default_rng(np.random.SeedSequence(integer(seed, "seed"), spawn_key=key))
 
 
 def _series(
@@ -312,10 +293,9 @@ def _series(
 
 
 def _check_algorithm(config: ScenarioConfig, algorithm: str) -> None:
-    if algorithm not in (SMAP, AP):
-        raise InvalidInputError(f"unknown algorithm {algorithm!r}")
-    if algorithm == AP and config.ap_step is None:
-        raise InvalidInputError("baseline recursion needs ap_step in the configuration")
+    require(algorithm in (SMAP, AP), "algorithm", f"unknown algorithm {algorithm!r}")
+    stepless = algorithm == AP and config.ap_step is None
+    require(not stepless, "ap_step", "baseline recursion needs ap_step in the configuration")
 
 
 def run_single(
@@ -447,11 +427,7 @@ def run_monte_carlo(config: ScenarioConfig, algorithm: str, runs: int) -> MonteC
     ensemble then fails where the replay does not, the error says so.
     """
     _check_algorithm(config, algorithm)
-    try:
-        if operator.index(runs) < 1:  # numpy integers pass, floats and strings do not
-            raise InvalidInputError(f"run count must be positive, got {runs}", field="runs")
-    except TypeError:
-        raise InvalidInputError(f"runs must be an integer, got {runs!r}", field="runs") from None
+    runs = integer(runs, "runs", 1)
     K = config.iterations
     mse = np.zeros(K)
     counts = np.zeros((3, runs))  # updates, expanding steps, relaxations per run

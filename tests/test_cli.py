@@ -121,6 +121,47 @@ class TestRunCommand:
             main([command, "--seed", "-1"])
         assert "error: argument --seed: seed must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            *(
+                ([command, *args], args[-2][2:])
+                for command in ("run", "mc")
+                for args in (
+                    ["--taps", "0"],
+                    ["--reuse", "20"],
+                    ["--gamma-bar", "0"],
+                    ["--delta", "-1"],
+                    ["--noise-var", "0"],
+                    ["--ar", "1"],
+                    ["--snr-db", "4000"],
+                    ["--iters", "-3"],
+                    ["--seed", "-1"],
+                    ["--cv", "noise", "--noise-scale", "nan"],
+                )
+            ),
+            (["run", "--mu", "1.5"], "mu"),
+            (["run", "--run-index", "-1"], "run-index"),
+            (["mc", "--runs", "0"], "runs"),
+            (["mc", "--algos", "ap:1.5"], "algos"),
+            (["mc", "--algos", "ap:fast"], "algos"),
+            (["mc", "--algos", "smap:bogus"], "algos"),
+            (["verify", "--taps", "0"], "taps"),
+            (["verify", "--max-reuse", "20"], "max-reuse"),
+            (["verify", "--instances", "-1"], "instances"),
+            (["verify", "--seed", "-1"], "seed"),
+        ],
+    )
+    def test_rejected_value_names_its_flag(self, argv, flag, tmp_path, monkeypatch, capsys):
+        # the library rejects the value; the usage error names the flag as typed
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        error = capsys.readouterr().err.splitlines()[-1]
+        assert error.startswith(f"smap {argv[0]}: error: argument --{flag}: ")
+        assert list(tmp_path.iterdir()) == []
+
     def test_library_usage_error_shows_subcommand_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--gamma-bar", "inf"])

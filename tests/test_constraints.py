@@ -31,6 +31,23 @@ def test_strategy_validation():
         ConstraintStrategy("custom")
 
 
+@pytest.mark.parametrize(
+    "field, build",
+    [
+        ("kind", lambda: ConstraintStrategy("bogus")),
+        ("scale", lambda: ConstraintStrategy("noise", scale="2")),
+        ("scale", lambda: ConstraintStrategy("fixed", scale=None)),
+        ("scale", lambda: noise_cv(math.nan)),
+        ("fn", lambda: ConstraintStrategy("custom")),
+        ("fn", lambda: custom_cv(5)),
+    ],
+)
+def test_strategy_errors_name_their_field(field, build):
+    with pytest.raises(InvalidInputError) as exc:
+        build()
+    assert exc.value.field == field
+
+
 def test_fixed_fills_threshold():
     cv = make_cv(fixed_cv(), np.array([0.5, -0.1, 0.2]), None, GAMMA)
     npt.assert_array_equal(cv, [GAMMA, GAMMA, GAMMA])

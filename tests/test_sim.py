@@ -69,6 +69,9 @@ class TestScenarioConfig:
             {"cv_strategy": "fixed"},
             {"gamma_bar": "0.2"},
             {"ap_step": "0.5"},
+            {"num_taps": "3"},
+            {"seed": "3"},
+            {"seed": None},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -135,8 +138,37 @@ class TestSignals:
 
     def test_shape_mismatch_rejected(self):
         config = ScenarioConfig()
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError) as exc:
             generate_signals(config, np.zeros(3), np.random.default_rng(0))
+        assert exc.value.field == "w0"
+
+    @pytest.mark.parametrize("a", [0.95, -0.95, 0.5, 0.9999, -0.3, 0.0])
+    @pytest.mark.parametrize("n", [1, 10, 257, 1024])
+    def test_stationary_correlation_gather_matches_power_matrix(self, a, n):
+        # generate_signals gathers a ** |i - j| from the N powers of a; it
+        # must give the bytes of the N x N power matrix it replaced
+        lags = np.arange(n)
+        gathered = (a**lags)[np.abs(lags[:, None] - lags)]
+        assert gathered.tobytes() == (a ** np.abs(lags[:, None] - lags[None, :])).tobytes()
+
+    @pytest.mark.parametrize(
+        "field, args",
+        [
+            ("seed", (-1, 0)),
+            ("seed", (1.5, 0)),
+            ("seed", ("3", 0)),
+            ("run_index", (0, -1)),
+            ("run_index", (0, "3")),
+            ("run_index", (0, 2.0)),
+        ],
+    )
+    def test_run_rng_rejects_bad_arguments(self, field, args):
+        with pytest.raises(InvalidInputError) as exc:
+            run_rng(*args)
+        assert exc.value.field == field
+
+    def test_run_rng_takes_numpy_integers_as_ints(self):
+        assert run_rng(np.uint8(3), np.int64(2)).random() == run_rng(3, 2).random()
 
     @pytest.mark.parametrize(
         "a", [0.0, -0.0, 0.5, -0.5, 0.95, -0.95, 0.9999, -0.9999, "random"]
@@ -282,13 +314,29 @@ class TestRunSingle:
 
     def test_unknown_algorithm_rejected(self):
         config = ScenarioConfig(iterations=10)
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError) as exc:
             run_single(config, "nlms", run_rng(0, 0))
+        assert exc.value.field == "algorithm"
 
     def test_baseline_needs_step_size(self):
         config = ScenarioConfig(iterations=10)
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError) as exc:
             run_single(config, AP, run_rng(0, 0))
+        assert exc.value.field == "ap_step"
+
+    @pytest.mark.parametrize(
+        "drive",
+        [
+            lambda config: run_single(config, SMAP, run_rng(0, 0)),
+            lambda config: run_monte_carlo(config, SMAP, 2),
+        ],
+        ids=["run_single", "run_monte_carlo"],
+    )
+    def test_non_callable_custom_rule_is_rejected_before_the_run(self, drive):
+        # the rule is checked when the strategy is built, not when a step calls it
+        with pytest.raises(InvalidInputError) as exc:
+            drive(ScenarioConfig(iterations=10, cv_strategy=custom_cv(5)))
+        assert exc.value.field == "fn"
 
     def test_unregularized_warmup_failure_is_wrapped(self, monkeypatch):
         # with an all-zero input every window's Gram matrix vanishes, so
@@ -591,8 +639,9 @@ class TestMonteCarlo:
 
     def test_rejects_bad_run_count(self):
         config = ScenarioConfig(iterations=30)
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError) as exc:
             run_monte_carlo(config, SMAP, runs=0)
+        assert exc.value.field == "runs"
 
     @pytest.mark.parametrize("runs", [2.5, "3", None])
     def test_rejects_non_integer_run_count(self, runs):

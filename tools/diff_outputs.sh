@@ -8,7 +8,8 @@
 # summary.txt, mse.csv and each command's stdout, stderr and exit status
 # with diff -r, so a command that fails is compared too.  Exits nonzero on
 # any difference.  The directory is removed on exit.  The commands are
-# those whose digests tests/test_golden.py pins, and a few more.
+# those whose digests tests/test_golden.py pins, a few more, and some the
+# library rejects, whose usage errors are then compared too.
 set -euo pipefail
 
 rev=${1:?usage: tools/diff_outputs.sh REV}
@@ -40,6 +41,11 @@ commands=(
     "mc --iters 777 --runs 130 --algos smap:sccv --seed 13"
     "mc --delta 0 --taps 16 --reuse 9 --iters 130 --runs 3 --seed 25 --algos smap:sccv"
     "mc --delta 0 --taps 16 --reuse 9 --iters 130 --runs 3 --seed 25 --algos ap:0.9"
+    "run --taps 0"
+    "mc --runs 0"
+    "verify --taps 0"
+    "verify --max-reuse 20"
+    "run --run-index -1"
 )
 
 # run_all TREE OUT: every command against TREE's sources, outputs under OUT;
