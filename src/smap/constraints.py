@@ -30,13 +30,6 @@ KINDS = (FIXED, SCCV, NOISE, ZERO, CUSTOM)
 CV_BOUND_SLACK = 1e-8
 
 __all__ = [
-    "FIXED",
-    "SCCV",
-    "NOISE",
-    "ZERO",
-    "CUSTOM",
-    "KINDS",
-    "CV_BOUND_SLACK",
     "ConstraintStrategy",
     "fixed_cv",
     "sc_cv",
@@ -60,7 +53,7 @@ class ConstraintStrategy:
         require(self.kind in KINDS, "kind", f"unknown strategy kind {self.kind!r}")
         real(self.scale, "scale")
         require(
-            self.kind != NOISE or 0.0 <= self.scale < np.inf,  # nan fails both comparisons
+            0.0 <= self.scale < np.inf,  # nan fails both comparisons
             "scale", f"noise scale must be nonnegative and finite, got {self.scale}",
         )
         require(

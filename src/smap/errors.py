@@ -3,6 +3,15 @@
 import numbers
 import operator
 
+__all__ = [
+    "SmapError",
+    "InvalidInputError",
+    "SingularSystemError",
+    "ConstraintBoundError",
+    "DegenerateDenominatorError",
+    "SimulationError",
+]
+
 
 class SmapError(Exception):
     """Base class for every error raised by this package."""

@@ -20,17 +20,7 @@ from .constraints import CV_BOUND_SLACK, satisfies_bound
 from .errors import ConstraintBoundError, InvalidInputError
 from .linalg import all_finite, gram, solve_spd
 
-# Classification labels shared by the energy records and the trace CSV.
-CONTRACT = "contract"
-PRESERVE = "preserve"
-EXPAND = "expand"
-NO_UPDATE = "no-update"
-
 __all__ = [
-    "CONTRACT",
-    "PRESERVE",
-    "EXPAND",
-    "NO_UPDATE",
     "FilterState",
     "DataWindow",
     "UpdateOutcome",

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InvalidInputError, SingularSystemError
 
-__all__ = ["gram", "solve_spd", "solve_spd_stack", "all_finite"]
+__all__ = ["gram", "solve_spd"]
 
 
 def _lapack(*names: str) -> list:

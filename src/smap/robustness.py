@@ -19,20 +19,28 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DegenerateDenominatorError, InvalidInputError
-from .filters import CONTRACT, EXPAND, NO_UPDATE, PRESERVE, DataWindow, FilterState
+from .filters import DataWindow, FilterState
 from .linalg import gram, solve_spd
+
+# Classification labels shared by the energy records and the trace CSV.
+CONTRACT = "contract"
+PRESERVE = "preserve"
+EXPAND = "expand"
+NO_UPDATE = "no-update"
 
 # Relative half-width of the tie band separating "preserve" from the
 # strict inequalities.
 PRESERVE_RTOL = 1e-12
 
 __all__ = [
-    "PRESERVE_RTOL",
+    "CONTRACT",
+    "PRESERVE",
+    "EXPAND",
+    "NO_UPDATE",
     "LocalRobustnessRecord",
     "GlobalRobustnessReport",
     "DivergenceMonitorRecord",
     "local_check",
-    "expands",
     "global_accumulate",
     "divergence_monitor",
 ]

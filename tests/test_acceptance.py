@@ -13,7 +13,7 @@ import pytest
 
 from smap.constraints import custom_cv, fixed_cv, noise_cv, sc_cv, zero_cv
 from smap.cli import verify_update_against_kkt
-from smap.filters import EXPAND
+from smap.robustness import EXPAND
 from smap.sim import (
     AP,
     SMAP,

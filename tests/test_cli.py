@@ -10,7 +10,8 @@ import pytest
 from smap import filters, sim
 from smap.cli import TRACE_HEADER, main, verify_update_against_kkt
 from smap.errors import InvalidInputError
-from smap.filters import CONTRACT, EXPAND, NO_UPDATE, PRESERVE, FilterState
+from smap.filters import FilterState
+from smap.robustness import CONTRACT, EXPAND, NO_UPDATE, PRESERVE
 from smap.sim import SMAP, ScenarioConfig, generate_signals, run_rng, run_single
 
 
@@ -105,6 +106,8 @@ class TestRunCommand:
             ["mc", "--algos", "foo:1"],
             ["mc", "--algos", ","],
             ["verify", "--instances", "-1"],
+            ["run", "--noise-scale", "nan"],
+            ["mc", "--noise-scale", "inf", "--algos", "smap:fixed,smap:noise"],
         ],
     )
     def test_usage_errors_exit_2(self, argv, tmp_path, monkeypatch, capsys):
@@ -150,6 +153,8 @@ class TestRunCommand:
             (["verify", "--max-reuse", "20"], "max-reuse"),
             (["verify", "--instances", "-1"], "instances"),
             (["verify", "--seed", "-1"], "seed"),
+            (["run", "--noise-scale", "nan"], "noise-scale"),
+            (["mc", "--noise-scale", "inf", "--algos", "smap:fixed,smap:noise"], "noise-scale"),
         ],
     )
     def test_rejected_value_names_its_flag(self, argv, flag, tmp_path, monkeypatch, capsys):

@@ -24,9 +24,11 @@ GAMMA = 0.2236
 def test_strategy_validation():
     with pytest.raises(InvalidInputError):
         ConstraintStrategy("bogus")
-    for scale in (-1.0, math.inf, math.nan):  # inf * 0 in the noise window is nan
-        with pytest.raises(InvalidInputError, match="noise scale"):
-            ConstraintStrategy("noise", scale=scale)
+    for kind in ("noise", "fixed", "sccv", "zero"):
+        for scale in (-1.0, math.inf, math.nan):  # inf * 0 in the noise window is nan
+            with pytest.raises(InvalidInputError, match="noise scale") as exc:
+                ConstraintStrategy(kind, scale=scale)
+            assert exc.value.field == "scale"
     with pytest.raises(InvalidInputError):
         ConstraintStrategy("custom")
 

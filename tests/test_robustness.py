@@ -5,18 +5,12 @@ import numpy.testing as npt
 import pytest
 
 from smap.errors import DegenerateDenominatorError, InvalidInputError
-from smap.filters import (
+from smap.filters import DataWindow, FilterState, error_vector, indicator, smap_update
+from smap.robustness import (
     CONTRACT,
     EXPAND,
     NO_UPDATE,
     PRESERVE,
-    DataWindow,
-    FilterState,
-    error_vector,
-    indicator,
-    smap_update,
-)
-from smap.robustness import (
     LocalRobustnessRecord,
     divergence_monitor,
     expands,

@@ -10,11 +10,13 @@ from dataclasses import replace
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.signal import lfilter
 
 from smap import sim
 from smap.constraints import custom_cv, fixed_cv, noise_cv, sc_cv, zero_cv
-from smap.errors import InvalidInputError, SimulationError
+from smap.errors import InvalidInputError, SimulationError, SmapError
 from smap.filters import DataWindow
 from smap.robustness import divergence_monitor
 from smap.sim import (
@@ -738,6 +740,51 @@ class TestMonteCarlo:
         # chunk, at the last step of the first chunk with two
         monkeypatch.setattr(sim, "_CHUNK_STEPS", chunk)
         self.test_later_run_failure_replays_with_run_single(fault)
+
+
+@st.composite
+def _scenarios(draw):
+    """Any scenario in the paper's parameter box, with the recursion to run."""
+    num_taps = draw(st.integers(1, 16))
+    rule = draw(st.sampled_from(["fixed", "sccv", "noise", "zero", "ap"]))
+    step = draw(st.floats(0.01, 1.0)) if rule == "ap" else None
+    config = ScenarioConfig(
+        num_taps=num_taps,
+        reuse=draw(st.integers(0, num_taps - 1)),
+        gamma_bar=10.0 ** draw(st.floats(-3.0, 1.0)),
+        delta=draw(st.sampled_from([0.0, 1e-12, 1e-3])),
+        ar_coefficient=draw(st.floats(-0.99, 0.99)),
+        snr_db=draw(st.floats(0.0, 40.0)),
+        iterations=draw(st.integers(0, 120)),
+        ap_step=step,
+        seed=draw(st.integers(0, 2**32 - 1)),
+        **({} if rule == "ap" else ENSEMBLE_CASES[rule]),
+    )
+    return (AP if rule == "ap" else SMAP), config
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(_scenarios())
+def test_no_parameter_choice_diverges_or_fools_the_energy_bound(scenario):
+    # the paper: SM-AP never diverges whatever the parameters; a run either
+    # fails loudly in both engines or stays finite, and with no expanding
+    # step the energy ratio exceeds 1 only by the steps' own leakage
+    algorithm, config = scenario
+    try:
+        trace = run_single(config, algorithm, run_rng(config.seed, 0))
+    except SmapError:
+        with pytest.raises(SmapError):
+            run_monte_carlo(config, algorithm, 1)
+        return
+    assert np.isfinite(trace.misalignment).all()
+    report = trace.global_report
+    if report.condition_violations == 0:
+        leakage = sum(
+            r.identity_residual + max(0.0, r.lhs - r.rhs) for r in trace.local_records if r.updated
+        )
+        slack = leakage + 1e-12 * max(1.0, report.denominator)
+        assert report.numerator <= report.denominator + slack
+    _assert_lockstep_matches_run_single(config, algorithm, 3)
 
 
 class TestSteadyState:

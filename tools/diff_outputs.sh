@@ -46,6 +46,8 @@ commands=(
     "verify --taps 0"
     "verify --max-reuse 20"
     "run --run-index -1"
+    "run --noise-scale nan"
+    "mc --noise-scale inf --algos smap:fixed,smap:noise"
 )
 
 # run_all TREE OUT: every command against TREE's sources, outputs under OUT;
