@@ -233,7 +233,7 @@ def verify_update_against_kkt(
     errors are compared against their target and the per-step energy
     identity is evaluated on the same step.
     """
-    instances = integer(instances, "instances")
+    instances = integer(instances, "instances", 1)
     num_taps = integer(num_taps, "num_taps", 1)
     max_reuse = integer(max_reuse, "max_reuse")
     require(

@@ -183,13 +183,17 @@ def smap_update(
 
 def ap_update(
     state: FilterState, window: DataWindow, mu: float, delta: float = 0.0
-) -> FilterState:
+) -> tuple[FilterState, UpdateOutcome]:
     """Conventional affine projection step ``w + mu X (X^T X + delta I)^{-1} e``.
 
-    Updates unconditionally; ``mu`` must lie in ``[0, 1]``.
+    Updates unconditionally; ``mu`` must lie in ``[0, 1]``.  The move is
+    the SM-AP move toward the constraint vector ``(1 - mu) e``, which is
+    the target ``local_check`` certifies it against.  Returns the new
+    state and ``UpdateOutcome(True, d - X.T w_new)``.
     """
     if not 0.0 <= mu <= 1.0:
         raise InvalidInputError(f"step size must lie in [0, 1], got {mu}")
     e = error_vector(state, window)
     y = solve_spd(gram(window.X), e, delta)
-    return FilterState(state.w + mu * (window.X @ y))
+    new_state = FilterState(state.w + mu * (window.X @ y))
+    return new_state, UpdateOutcome(True, window.d - window.X.T @ new_state.w)

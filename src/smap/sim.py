@@ -30,7 +30,7 @@ from .robustness import (
     DivergenceMonitorRecord,
     GlobalRobustnessReport,
     LocalRobustnessRecord,
-    divergence_monitor,
+    divergence_monitor,  # not called here; perfbench/tracing.py patches this binding
     expands,
     global_accumulate,
     local_check,
@@ -138,9 +138,7 @@ class RunTrace:
 
     ``misalignment`` holds ``iterations + 1`` entries (before each step
     plus the final state); the other series have one entry per
-    iteration.  For the baseline recursion the constraint-condition
-    fields of the local records are vacuous (zero target); the
-    misalignment and divergence series carry the signal there.
+    iteration.
     """
 
     w0: np.ndarray
@@ -336,15 +334,12 @@ def run_single(
             s = K - 1 - k
             window = DataWindow(inputs[s : s + L + 1].T, d[s : s + L + 1], n[s : s + L + 1])
             prev = state
-            if algorithm == AP:
-                errors[k] = error_vector(prev, window)[0]
-                state = ap_update(prev, window, config.ap_step, config.delta)
-                cv = zero_cv
-                updated = True
-                div = divergence_monitor(state, window, k=k)
+            e = error_vector(prev, window)
+            errors[k] = e[0]
+            if algorithm == AP:  # the SM-AP move toward (1 - mu) e; padded lags of e are 0
+                cv = (1.0 - config.ap_step) * e
+                state, outcome = ap_update(prev, window, config.ap_step, config.delta)
             else:
-                e = error_vector(prev, window)
-                errors[k] = e[0]
                 if indicator(e[0], config.gamma_bar):
                     cv = make_cv(
                         config.cv_strategy, e, window.n, config.gamma_bar,
@@ -360,16 +355,13 @@ def run_single(
                     prev, window, cv, config.gamma_bar, config.delta,
                     enforce_cv_bound=not relaxed and cv is not zero_cv,
                 )
-                updated = outcome.updated
-                # divergence_monitor's d - X.T @ w, as the update took it
-                div = DivergenceMonitorRecord(k, float(np.abs(outcome.posterior_errors).max()))
-            flags[k] = updated
-            record = local_check(
-                w0, prev, state, window, cv, updated, config.delta, k=k
-            )
+            flags[k] = updated = outcome.updated
+            record = local_check(w0, prev, state, window, cv, updated, config.delta, k=k)
             local_records.append(record)
             misalignment[k + 1] = record.w_tilde_sq_after
-            div_records.append(div)
+            # divergence_monitor's d - X.T @ w, as the update took it
+            posterior = float(np.abs(outcome.posterior_errors).max())
+            div_records.append(DivergenceMonitorRecord(k, posterior))
     except SmapError as err:
         raise SimulationError(f"iteration {k}: {err}") from err
     report = global_accumulate(local_records, misalignment[0], misalignment[K])
@@ -509,8 +501,8 @@ def _lockstep_block(
             Xt = np.ndarray((rows.size, m, N), g.dtype, g, 8 * m * (m + 1), (g.strides[0], 8, 8))
         if not ap and not all_finite(ef):  # the gate's check; AP has no gate
             fail(rows, steps, ~np.isfinite(ef[:, 0]))
-        if ap:
-            cv = np.zeros(ef.shape)
+        if ap:  # AP's move is the SM-AP move toward (1 - mu) e
+            cv = (1.0 - config.ap_step) * ef
         elif strategy.kind == CUSTOM:
             cv = np.zeros(ef.shape)
             for i in range(rows.size):
@@ -526,7 +518,8 @@ def _lockstep_block(
             relaxations[sel] += ~satisfies_bound(cv, gamma_bar)
         elif not ap and not satisfies_bound(cv.ravel(), gamma_bar + CV_BOUND_SLACK):
             fail(rows, steps, ~satisfies_bound(cv, gamma_bar + CV_BOUND_SLACK))
-        b = np.array((ef - cv, nf, cv)).transpose(1, 2, 0)  # right-hand side j is b[:, :, j]
+        # right-hand side j is b[:, :, j]; AP solves for e and scales the move
+        b = np.array((ef if ap else ef - cv, nf, cv)).transpose(1, 2, 0)
         sols, singular = solve_spd_stack(G, b)
         if singular.any():
             fail(rows, steps, singular)

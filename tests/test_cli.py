@@ -318,9 +318,15 @@ class TestVerifyCommand:
         assert "verification passed" in out
 
     def test_zero_instances(self, capsys):
-        rc = main(["verify", "--instances", "0"])
-        assert rc == 0
-        assert "instances: 0" in capsys.readouterr().out
+        # nothing checked is no pass: a usage error naming the flag
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--instances", "0"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            "smap verify: error: argument --instances: instances must be an integer >= 1, got 0"
+        )
 
     def test_detects_a_broken_update(self, monkeypatch, capsys):
         # flip the correction direction; the coefficient route must no

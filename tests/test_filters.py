@@ -238,13 +238,13 @@ def test_ap_zero_step_leaves_state(rng):
     X = rng.standard_normal((5, 2))
     d = rng.standard_normal(2)
     state = FilterState(rng.standard_normal(5))
-    new_state = ap_update(state, DataWindow(X, d), 0.0)
+    new_state = ap_update(state, DataWindow(X, d), 0.0)[0]
     npt.assert_array_equal(new_state.w, state.w)
 
 
 def test_ap_full_step_equals_zero_target_projection(rng, make_instance):
     inst = make_instance(rng)
-    via_ap = ap_update(inst["state"], inst["window"], 1.0)
+    via_ap = ap_update(inst["state"], inst["window"], 1.0)[0]
     via_smap, _ = smap_update(
         inst["state"], inst["window"], np.zeros_like(inst["cv"]), inst["gamma_bar"]
     )
@@ -256,7 +256,7 @@ def test_ap_matches_direct_formula(rng):
     d = rng.standard_normal(3)
     w = rng.standard_normal(8)
     mu, delta = 0.05, 1e-12
-    new_state = ap_update(FilterState(w), DataWindow(X, d), mu, delta)
+    new_state = ap_update(FilterState(w), DataWindow(X, d), mu, delta)[0]
     G = X.T @ X + delta * np.eye(3)
     expected = w + mu * (X @ np.linalg.inv(G) @ (d - X.T @ w))
     npt.assert_allclose(new_state.w, expected, rtol=1e-9)

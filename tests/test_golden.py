@@ -29,8 +29,8 @@ GOLDEN = {
         "summary.txt": "af19a6ab0f2fed26701881ea7313f3655ad160298df6a5d67bfe05b80f652258",
     },
     "run --iters 1000 --mu 0.5": {
-        "trace.csv": "27cb40a6b60f85ad01e28c7007f9b5de8239ab8cdae14109619426c98fe695a5",
-        "summary.txt": "adaaf40a0c8957e1ffb3c028028b1fc2f2ff183eb239afd06405acd9fe3a87ab",
+        "trace.csv": "fd95c89095fc2a4a3463274c19b9fd46c735ce703fae66a895d4803b66a3ff04",
+        "summary.txt": "9460c9ddd587981e55a621f34cb91e0d731b1a958aa2d02ac6d24f06dd2bc710",
     },
     "run --iters 1000 --ar=-0.9 --seed 2": {
         "trace.csv": "29488051f6d09941fad97f2832ffe912b0d4d253c38530fe2ea2a2c261993287",
@@ -42,7 +42,7 @@ GOLDEN = {
     },
     "mc --iters 300 --runs 5 --reuse 4 --algos smap:fixed,smap:sccv,ap:0.5": {
         "mse.csv": "33707a3d39d1a20dbba9d97632f304064ed36c55cf86171cec90eb1399d054c9",
-        "summary.txt": "18a589de5851306358bb4733a877e94df933e654b7f0f50dfea3f48680e0cb8a",
+        "summary.txt": "366a6df918e6404165641e519f28ed329b42f99587d38c209640126069db4b3b",
     },
     # taken with the engine that stepped every run one sample at a time
     "mc --iters 2000 --runs 8 --algos smap:sccv,smap:zero,smap:fixed,smap:noise --seed 7": {

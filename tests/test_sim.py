@@ -314,6 +314,18 @@ class TestRunSingle:
         assert trace.update_flags.all()
         assert trace.global_report.update_set_size == 100
 
+    def test_baseline_certificate_counts_expanding_steps(self):
+        # `smap run --mu 0.05 --iters 120 --taps 13 --reuse 8 --delta 1e-3 --seed 18`:
+        # AP is SM-AP aiming at (1 - mu) e, so its ratio above 1 comes with
+        # expanding steps, in both engines
+        config = ScenarioConfig(
+            iterations=120, num_taps=13, reuse=8, delta=1e-3, ap_step=0.05, seed=18
+        )
+        report = run_single(config, AP, run_rng(18, 0)).global_report
+        assert report.condition_violations == 74
+        assert f"{report.ratio:.6f}" == "2.869192"
+        npt.assert_array_equal(run_monte_carlo(config, AP, 1).violation_counts, [74])
+
     def test_unknown_algorithm_rejected(self):
         config = ScenarioConfig(iterations=10)
         with pytest.raises(InvalidInputError) as exc:

@@ -48,6 +48,8 @@ commands=(
     "run --run-index -1"
     "run --noise-scale nan"
     "mc --noise-scale inf --algos smap:fixed,smap:noise"
+    "run --mu 0.05 --iters 120 --taps 13 --reuse 8 --delta 1e-3 --seed 18"
+    "verify --instances 0"
 )
 
 # run_all TREE OUT: every command against TREE's sources, outputs under OUT;
