@@ -16,6 +16,7 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass, fields, replace
+from itertools import chain
 from pathlib import Path
 from typing import Optional, get_type_hints
 
@@ -130,14 +131,17 @@ def _atomic_write(path: Path, chunks) -> None:
         raise
 
 
-def _csv_lines(header: list[str], rows):
-    """The header as ``csv`` writes it, then each row of formatted numbers,
-    which need no quoting, joined by commas as it is written."""
+def _write_outputs(out_dir: Path, table: str, header: list[str], rows, lines) -> tuple[Path, Path]:
+    """Write ``table`` and ``summary.txt`` into ``out_dir``; return both paths.  The
+    header goes through ``csv``, as a label can need quoting; each row of formatted
+    numbers, which need none, is joined by commas as it is written."""
+    out_dir.mkdir(parents=True, exist_ok=True)
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow(header)
-    yield buf.getvalue()
-    for row in rows:
-        yield ",".join(row) + "\n"
+    table_path, summary_path = out_dir / table, out_dir / "summary.txt"
+    _atomic_write(table_path, chain([buf.getvalue()], (",".join(row) + "\n" for row in rows)))
+    _atomic_write(summary_path, ["\n".join(lines) + "\n"])
+    return table_path, summary_path
 
 
 def _config_lines(config: ScenarioConfig, algorithm: str) -> list[str]:
@@ -159,7 +163,6 @@ def write_run_outputs(
     trace: RunTrace, config: ScenarioConfig, algorithm: str, out_dir: Path, run_index: int = 0
 ) -> OutputBundle:
     """Write ``trace.csv`` and ``summary.txt`` for one run, run ``run_index`` of its seed."""
-    out_dir.mkdir(parents=True, exist_ok=True)
     recs = trace.local_records
     rows = zip(
         map(str, range(trace.errors.size)),
@@ -173,8 +176,6 @@ def write_run_outputs(
         _column(trace.misalignment[1:]),
         _column([div.max_abs_posterior for div in trace.divergence_records]),
     )
-    trace_path = out_dir / "trace.csv"
-    _atomic_write(trace_path, _csv_lines(TRACE_HEADER, rows))
     report = trace.global_report
     updates = int(trace.update_flags.sum())
     lines = ["command: run", *_config_lines(config, algorithm)]
@@ -189,8 +190,7 @@ def write_run_outputs(
         f"final-misalignment: {_fmt(trace.misalignment[-1])}",
         f"steady-state-mse-db: {_fmt(steady_state_db(trace.squared_error))}",
     ]
-    summary_path = out_dir / "summary.txt"
-    _atomic_write(summary_path, ["\n".join(lines) + "\n"])
+    trace_path, summary_path = _write_outputs(out_dir, "trace.csv", TRACE_HEADER, rows, lines)
     return OutputBundle(trace_csv_path=trace_path, summary_text_path=summary_path)
 
 
@@ -200,12 +200,8 @@ def write_mc_outputs(
     out_dir: Path,
 ) -> OutputBundle:
     """Write ``mse.csv`` (one column per configuration) and ``summary.txt``."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    labels = [label for label, _, _, _ in results]
     iters = results[0][3].mse_curve.size
     rows = zip(map(str, range(iters)), *(_column(s.mse_curve) for *_, s in results))
-    mse_path = out_dir / "mse.csv"
-    _atomic_write(mse_path, _csv_lines(["k"] + labels, rows))
     lines = ["command: mc", f"runs: {runs}"]
     for label, config, algorithm, summary in results:
         lines.append("")
@@ -217,8 +213,8 @@ def write_mc_outputs(
             f"mean-cv-relaxations: {_fmt(summary.mean_cv_relaxations)}",
             f"steady-state-mse-db: {_fmt(summary.steady_state_mse_db)}",
         ]
-    summary_path = out_dir / "summary.txt"
-    _atomic_write(summary_path, ["\n".join(lines) + "\n"])
+    header = ["k"] + [label for label, *_ in results]
+    mse_path, summary_path = _write_outputs(out_dir, "mse.csv", header, rows, lines)
     return OutputBundle(mse_csv_path=mse_path, summary_text_path=summary_path)
 
 
@@ -241,11 +237,9 @@ def verify_update_against_kkt(
         f"largest reuse factor must lie in [0, {num_taps - 1}], got {max_reuse}",
     )
     rng = np.random.default_rng(integer(seed, "seed"))
-    max_update = max_post = max_resid = 0.0
-    worst_gap, worst_index = -1.0, -1
-    produced = 0
-    while produced < instances:
-        reuse = produced % (max_reuse + 1)
+    gaps = []  # (coefficient gap, posterior gap, relative residual) per instance
+    while len(gaps) < instances:
+        reuse = len(gaps) % (max_reuse + 1)
         X = rng.standard_normal((num_taps, reuse + 1))
         w_prev = rng.standard_normal(num_taps)
         w_true = rng.standard_normal(num_taps)
@@ -263,15 +257,10 @@ def verify_update_against_kkt(
         update_gap = float(np.max(np.abs(new_state.w - w_kkt)))
         post_gap = float(np.max(np.abs(outcome.posterior_errors - cv)))
         record = robustness.local_check(w_true, state, new_state, window, cv, True, 0.0)
-        resid = record.identity_residual / max(1.0, record.g2)
-        max_update = max(max_update, update_gap)
-        max_post = max(max_post, post_gap)
-        max_resid = max(max_resid, resid)
-        combined = max(update_gap, post_gap, resid)
-        if combined > worst_gap:
-            worst_gap, worst_index = combined, produced
-        produced += 1
-    return VerifyResult(instances, max_update, max_post, max_resid, worst_index)
+        gaps.append((update_gap, post_gap, record.identity_residual / max(1.0, record.g2)))
+    gaps = np.array(gaps)
+    worst = gaps.max(axis=1).argmax()  # the first instance with the largest gap
+    return VerifyResult(instances, *gaps.max(axis=0).tolist(), int(worst))
 
 
 def _add_scenario_flags(sub: argparse.ArgumentParser) -> None:
@@ -329,10 +318,12 @@ def _config_tokens(path: Path) -> list[str]:
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
+        key, sep, value = (part.strip() for part in line.partition("="))
+        if not sep:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        tokens.append(f"--{key.strip()}={value.strip()}")
+        if key and "config".startswith(key):  # the command line's --config would win
+            raise ValueError(f"{path}:{lineno}: configuration files do not nest, got {line!r}")
+        tokens.append(f"--{key}={value}")
     return tokens
 
 

@@ -234,7 +234,12 @@ def generate_signals(
     # the driving sample enters the recursion one step late
     x_all = _ar1(np.concatenate(([0.0], drive[:-1])), a)
     warm_output = np.convolve(w0, x_all[:_CAL_SAMPLES])[:_CAL_SAMPLES]
-    measured = float(np.var(warm_output[_CAL_SKIP:]))
+    with np.errstate(over="ignore"):  # an overflow is rejected just below
+        measured = float(np.var(warm_output[_CAL_SKIP:]))
+    require(
+        math.isfinite(measured), "snr_db",
+        f"a reference power of {target} overflows the warm stretch's measured variance",
+    )
     if measured > 0.0:
         x_all = x_all * np.sqrt(target / measured)
     x = x_all[_CAL_SAMPLES:]

@@ -15,6 +15,14 @@ from smap.robustness import CONTRACT, EXPAND, NO_UPDATE, PRESERVE
 from smap.sim import SMAP, ScenarioConfig, generate_signals, run_rng, run_single
 
 
+# scenarios whose warm-stretch variance overflows though the reference power is a float
+_WARM_OVERFLOW = (
+    ["run", "--snr-db", "3070", "--iters", "200"],
+    ["mc", "--noise-var", "1e307", "--snr-db", "0", "--iters", "200", "--runs", "3",
+     "--algos", "smap:fixed"],
+)
+
+
 def _read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
@@ -108,6 +116,7 @@ class TestRunCommand:
             ["verify", "--instances", "-1"],
             ["run", "--noise-scale", "nan"],
             ["mc", "--noise-scale", "inf", "--algos", "smap:fixed,smap:noise"],
+            *_WARM_OVERFLOW,
         ],
     )
     def test_usage_errors_exit_2(self, argv, tmp_path, monkeypatch, capsys):
@@ -155,6 +164,7 @@ class TestRunCommand:
             (["verify", "--seed", "-1"], "seed"),
             (["run", "--noise-scale", "nan"], "noise-scale"),
             (["mc", "--noise-scale", "inf", "--algos", "smap:fixed,smap:noise"], "noise-scale"),
+            *((argv, "snr-db") for argv in _WARM_OVERFLOW),
         ],
     )
     def test_rejected_value_names_its_flag(self, argv, flag, tmp_path, monkeypatch, capsys):
@@ -227,6 +237,18 @@ class TestConfigFile:
         with pytest.raises(SystemExit) as exc:
             main(["run", "--config", str(tmp_path / "absent.cfg")])
         assert exc.value.code == 2
+
+    def test_nested_config_rejected(self, tmp_path, capsys):
+        # the command line's own --config would win the re-parse and the
+        # named file would never be read
+        (tmp_path / "b.txt").write_text("iters = 40\n")
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text("seed = 3\nconfig = b.txt\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert f"{cfg}:2: configuration files do not nest" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_malformed_line_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

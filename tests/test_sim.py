@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.signal import lfilter
 
@@ -108,6 +108,17 @@ class TestSignals:
         snr = 10.0 * np.log10(clean.var() / n.var())
         assert abs(snr - config.snr_db) < 0.5
         assert abs(n.var() - config.noise_variance) < 0.002
+
+    def test_overflowing_warm_stretch_is_rejected(self):
+        # the reference power is a float at both SNRs, but at 3070 dB the
+        # warm stretch's variance overflows and would rescale the input to 0
+        w0 = generate_system(10, np.random.default_rng(1))
+        with pytest.raises(InvalidInputError) as exc:
+            generate_signals(ScenarioConfig(snr_db=3070.0), w0, np.random.default_rng(2))
+        assert exc.value.field == "snr_db"
+        x, d, n = generate_signals(ScenarioConfig(snr_db=3060.0), w0, np.random.default_rng(2))
+        assert np.isfinite(x).all() and np.isfinite(d).all()
+        assert np.abs(x).max() > 0.0
 
     def test_input_autocorrelation(self):
         config = ScenarioConfig(iterations=100_000)
@@ -775,8 +786,25 @@ def _scenarios(draw):
     return (AP if rule == "ap" else SMAP), config
 
 
+def _first_failure(config, algorithm, runs):
+    """``(iteration, run, message)`` of the ensemble's first failure under
+    ``run_single``: the earliest failing iteration, then the lowest run."""
+    failures = []
+    for r in range(runs):
+        try:
+            run_single(config, algorithm, run_rng(config.seed, r))
+        except SmapError as err:
+            step = re.match(r"iteration (\d+): ", str(err))
+            failures.append((int(step[1]) if step else config.iterations, r, str(err)))
+    return min(failures, default=None)
+
+
 @settings(max_examples=250, deadline=None, derandomize=True)
 @given(_scenarios())
+@example((SMAP, ScenarioConfig(  # run 1 alone fails, at iteration 11
+    num_taps=14, reuse=11, gamma_bar=0.1, delta=0.0, ar_coefficient=0.0, snr_db=0.0,
+    iterations=12, seed=5,
+)))
 def test_no_parameter_choice_diverges_or_fools_the_energy_bound(scenario):
     # the paper: SM-AP never diverges whatever the parameters; a run either
     # fails loudly in both engines or stays finite, and with no expanding
@@ -796,7 +824,13 @@ def test_no_parameter_choice_diverges_or_fools_the_energy_bound(scenario):
         )
         slack = leakage + 1e-12 * max(1.0, report.denominator)
         assert report.numerator <= report.denominator + slack
-    _assert_lockstep_matches_run_single(config, algorithm, 3)
+    try:
+        _assert_lockstep_matches_run_single(config, algorithm, 3)
+    except SmapError as err:  # a later run fails alone, and the ensemble names the first
+        failure = _first_failure(config, algorithm, 3)
+        assert failure is not None, f"no run fails alone, but: {err}"
+        _, run, message = failure
+        assert str(err) == f"run {run} (seed {config.seed}): {message}"
 
 
 class TestSteadyState:

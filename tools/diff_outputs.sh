@@ -50,6 +50,8 @@ commands=(
     "mc --noise-scale inf --algos smap:fixed,smap:noise"
     "run --mu 0.05 --iters 120 --taps 13 --reuse 8 --delta 1e-3 --seed 18"
     "verify --instances 0"
+    "run --snr-db 3070 --iters 200"
+    "mc --noise-var 1e307 --snr-db 0 --iters 200 --runs 3 --algos smap:fixed"
 )
 
 # run_all TREE OUT: every command against TREE's sources, outputs under OUT;
