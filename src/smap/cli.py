@@ -16,7 +16,7 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass, fields, replace
-from itertools import chain
+from itertools import chain, count
 from pathlib import Path
 from typing import Optional, get_type_hints
 
@@ -163,19 +163,6 @@ def write_run_outputs(
     trace: RunTrace, config: ScenarioConfig, algorithm: str, out_dir: Path, run_index: int = 0
 ) -> OutputBundle:
     """Write ``trace.csv`` and ``summary.txt`` for one run, run ``run_index`` of its seed."""
-    recs = trace.local_records
-    rows = zip(
-        map(str, range(trace.errors.size)),
-        _column(trace.errors),
-        map(str, trace.update_flags.astype(int).tolist()),
-        _column([rec.g1 for rec in recs]),
-        _column([rec.g2 for rec in recs]),
-        [rec.classification for rec in recs],
-        _column([rec.lhs for rec in recs]),
-        _column([rec.rhs for rec in recs]),
-        _column(trace.misalignment[1:]),
-        _column([div.max_abs_posterior for div in trace.divergence_records]),
-    )
     report = trace.global_report
     updates = int(trace.update_flags.sum())
     lines = ["command: run", *_config_lines(config, algorithm)]
@@ -190,8 +177,27 @@ def write_run_outputs(
         f"final-misalignment: {_fmt(trace.misalignment[-1])}",
         f"steady-state-mse-db: {_fmt(steady_state_db(trace.squared_error))}",
     ]
+    rows = _run_rows(trace)
     trace_path, summary_path = _write_outputs(out_dir, "trace.csv", TRACE_HEADER, rows, lines)
     return OutputBundle(trace_csv_path=trace_path, summary_text_path=summary_path)
+
+
+def _run_rows(trace: RunTrace):
+    """Yield the rows of ``trace.csv``.  A quiet step's record holds the unchanged
+    misalignment in both sums and zeros in both terms (see ``local_check``), so only
+    the updating steps' records need formatting."""
+    moved = [rec for rec in trace.local_records if rec.updated]
+    terms = [(rec.g1, rec.g2, rec.lhs, rec.rhs, rec.w_tilde_sq_after) for rec in moved]
+    updates = zip(*map(_column, np.reshape(terms, (-1, 5)).T), [r.classification for r in moved])
+    mis = _fmt(trace.misalignment[0])
+    posterior = _column([div.max_abs_posterior for div in trace.divergence_records])
+    flags = trace.update_flags.tolist()
+    for k, e, updated, post in zip(count(), _column(trace.errors), flags, posterior):
+        if updated:
+            g1, g2, lhs, rhs, mis, label = next(updates)
+            yield str(k), e, "1", g1, g2, label, lhs, rhs, mis, post
+        else:
+            yield str(k), e, "0", mis, mis, robustness.NO_UPDATE, "0.0", "0.0", mis, post
 
 
 def write_mc_outputs(

@@ -132,6 +132,7 @@ def smap_update(
     delta: float = 0.0,
     *,
     enforce_cv_bound: bool = True,
+    prior: Optional[np.ndarray] = None,
 ) -> tuple[FilterState, UpdateOutcome]:
     """Gated projection step steering the window errors onto ``cv``.
 
@@ -156,6 +157,8 @@ def smap_update(
         plus ``CV_BOUND_SLACK`` (default).  The simulation harness
         disables this for the noise-proportional strategy, which may
         leave the band.
+    prior : ndarray, optional
+        ``error_vector(state, window)``, if the caller has it; only its shape is checked.
 
     Returns
     -------
@@ -172,7 +175,12 @@ def smap_update(
         raise ConstraintBoundError(
             f"constraint magnitude {np.abs(cv).max():.6g} exceeds threshold {gamma_bar:.6g}"
         )
-    e = error_vector(state, window)
+    e = error_vector(state, window) if prior is None else np.asarray(prior, dtype=float)
+    if e.shape != window.d.shape or window.X.shape[0] != state.w.shape[0]:
+        raise InvalidInputError(
+            f"prior errors {e.shape} do not fit {state.w.size} taps and window {window.X.shape}",
+            field="prior",
+        )
     if not indicator(e[0], gamma_bar):
         return state, UpdateOutcome(False, e)
     y = solve_spd(gram(window.X), e - cv, delta)

@@ -91,7 +91,8 @@ def solve_spd(G: np.ndarray, b: np.ndarray, delta: float = 0.0) -> np.ndarray:
         raise InvalidInputError(f"delta must be nonnegative and finite, got {delta}")
     if delta != 0.0:  # G + delta * np.eye(m), bit for bit, signed zeros included
         G = G + 0.0
-        G.flat[:: G.shape[0] + 1] += delta
+        # G + 0.0 is C- or F-contiguous, so this is a view; reshape(-1) copies F order
+        G.ravel("K")[:: G.shape[0] + 1] += delta
     y = _cholesky_solve(G, b)
     if y is None:
         raise SingularSystemError(f"Gram system is not positive definite (delta={delta:g})")

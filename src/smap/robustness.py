@@ -137,11 +137,8 @@ def local_check(
     w0 = np.asarray(w0, dtype=float)
     wt_before = w0 - state_before.w
     wt_sq_before = float(wt_before @ wt_before)
-    if state_after is state_before:  # a skipped step
-        wt_sq_after = wt_sq_before
-    else:
-        wt_after = w0 - state_after.w
-        wt_sq_after = float(wt_after @ wt_after)
+    wt_after = w0 - state_after.w
+    wt_sq_after = float(wt_after @ wt_after)
     if not updated:
         return LocalRobustnessRecord(
             k, False, wt_sq_after, wt_sq_before, 0.0, 0.0, NO_UPDATE,

@@ -27,6 +27,7 @@ from .errors import SimulationError, SmapError, integer, real, require
 from .filters import DataWindow, FilterState, ap_update, error_vector, indicator, smap_update
 from .linalg import all_finite, dgttrs, solve_spd_stack
 from .robustness import (
+    NO_UPDATE,
     DivergenceMonitorRecord,
     GlobalRobustnessReport,
     LocalRobustnessRecord,
@@ -324,7 +325,7 @@ def run_single(
     inputs = sliding_window_view(xs, config.num_taps)
     state = FilterState.zeros(config.num_taps)
     misalignment = np.empty(K + 1)
-    misalignment[0] = float(w0 @ w0)
+    misalignment[0] = wt_sq = float(w0 @ w0)
     errors = np.empty(K)
     flags = np.zeros(K, dtype=bool)
     local_records: list[LocalRobustnessRecord] = []
@@ -358,12 +359,17 @@ def run_single(
                     cv = zero_cv  # in band: smap_update need not check it
                 state, outcome = smap_update(
                     prev, window, cv, config.gamma_bar, config.delta,
-                    enforce_cv_bound=not relaxed and cv is not zero_cv,
+                    enforce_cv_bound=not relaxed and cv is not zero_cv, prior=e,
                 )
             flags[k] = updated = outcome.updated
-            record = local_check(w0, prev, state, window, cv, updated, config.delta, k=k)
+            if updated:
+                record = local_check(w0, prev, state, window, cv, True, config.delta, k=k)
+                wt_sq = record.w_tilde_sq_after
+            else:  # local_check's record of a quiet step: the misalignment carries over
+                record = LocalRobustnessRecord(k, False, wt_sq, wt_sq, 0.0, 0.0, NO_UPDATE,
+                                               0.0, wt_sq, 0.0, 0.0)
             local_records.append(record)
-            misalignment[k + 1] = record.w_tilde_sq_after
+            misalignment[k + 1] = wt_sq
             # divergence_monitor's d - X.T @ w, as the update took it
             posterior = float(np.abs(outcome.posterior_errors).max())
             div_records.append(DivergenceMonitorRecord(k, posterior))
@@ -622,7 +628,9 @@ def _replay(config: ScenarioConfig, algorithm: str, run: int, step: int) -> NoRe
 
 
 def steady_state_db(mse_curve: np.ndarray, fraction: float = 0.2) -> float:
-    """Mean of the final stretch of the curve, in dB."""
+    """Mean of the final ``fraction`` of the curve, at least its last point, in dB."""
+    real(fraction, "fraction")
+    require(0.0 < fraction <= 1.0, "fraction", f"fraction must lie in (0, 1], got {fraction}")
     curve = np.asarray(mse_curve, dtype=float)
     if curve.size == 0:
         return float("nan")

@@ -266,3 +266,32 @@ def test_ap_matches_direct_formula(rng):
 def test_ap_step_out_of_range(mu):
     with pytest.raises(InvalidInputError):
         ap_update(FilterState(np.zeros(3)), DataWindow(np.ones((3, 1)), np.ones(1)), mu)
+
+
+@pytest.mark.parametrize("gamma_bar", [0.05, 5.0], ids=["firing", "quiet"])
+def test_prior_errors_leave_the_step_unchanged(rng, make_instance, gamma_bar):
+    # the caller's error_vector, passed in, gives the step taken without it, bit for bit
+    inst = make_instance(rng)
+    state, window = inst["state"], inst["window"]
+    cv = np.clip(inst["cv"], -gamma_bar, gamma_bar)
+    prior = error_vector(state, window)
+    assert (abs(prior[0]) > gamma_bar) == (gamma_bar == 0.05)
+    plain = smap_update(state, window, cv, gamma_bar, 1e-12)
+    given = smap_update(state, window, cv, gamma_bar, 1e-12, prior=prior)
+    assert given[1].updated == plain[1].updated
+    assert given[0].w.tobytes() == plain[0].w.tobytes()
+    assert given[1].posterior_errors.tobytes() == plain[1].posterior_errors.tobytes()
+    if not plain[1].updated:
+        assert given[0] is state
+
+
+@pytest.mark.parametrize(
+    "taps,shape", [(2, (2,)), (2, (4,)), (2, (3, 1)), (2, ()), (5, (3,))],
+    ids=["short", "long", "column", "scalar", "taps"],
+)
+def test_prior_that_does_not_fit_the_step_is_rejected(taps, shape):
+    # the last case fits the window but not the state, so it is no error_vector of the step
+    window = DataWindow(np.ones((2, 3)), np.ones(3))
+    with pytest.raises(InvalidInputError) as exc:
+        smap_update(FilterState(np.zeros(taps)), window, np.zeros(3), GAMMA, prior=np.ones(shape))
+    assert exc.value.field == "prior"

@@ -249,3 +249,18 @@ def test_lapack_routines_are_scipys_own(first):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["True", "True", "True"]
+
+
+@pytest.mark.parametrize("delta", [1e-12, 0.5])
+def test_delta_lands_on_the_diagonal_in_either_memory_order(rng, delta):
+    # solve_spd adds delta through a flat view of a copy of G, which must
+    # be a view whatever G's layout, or delta would be dropped
+    A = rng.standard_normal((5, 3))
+    G = A.T @ A
+    b = rng.standard_normal(3)
+    expected = solve_spd(G, b, delta)
+    strided = np.zeros((3, 6))
+    strided[:, ::2] = G
+    for layout in (np.asfortranarray(G), G.T, strided[:, ::2]):
+        assert solve_spd(layout, b, delta).tobytes() == expected.tobytes()
+    npt.assert_allclose((G + delta * np.eye(3)) @ expected, b, rtol=1e-9)

@@ -17,8 +17,8 @@ from scipy.signal import lfilter
 from smap import sim
 from smap.constraints import custom_cv, fixed_cv, noise_cv, sc_cv, zero_cv
 from smap.errors import InvalidInputError, SimulationError, SmapError
-from smap.filters import DataWindow
-from smap.robustness import divergence_monitor
+from smap.filters import DataWindow, ap_update, error_vector, smap_update
+from smap.robustness import divergence_monitor, local_check
 from smap.sim import (
     AP,
     SMAP,
@@ -398,23 +398,65 @@ class TestRunSingle:
     def test_divergence_records_match_the_monitor(self, monkeypatch, case):
         # an SM-AP step's record is read off the update's posterior errors;
         # it must be the one divergence_monitor gives, at every step
-        steps = []
-        check = sim.local_check
-
-        def spy(*args, **kwargs):
-            steps.append((args[2], args[3], kwargs["k"]))  # state after, window, k
-            return check(*args, **kwargs)
-
-        monkeypatch.setattr(sim, "local_check", spy)
         kwargs = ENSEMBLE_CASES[case]
         algorithm = AP if "ap_step" in kwargs else SMAP
         config = ScenarioConfig(iterations=300, seed=13, **kwargs)
-        trace = run_single(config, algorithm, run_rng(13, 0))
+        trace, steps = _spied_run(monkeypatch, config, algorithm)
         if case == "noise":
             assert trace.cv_relaxations > 0
         assert 0 < trace.update_flags.sum() and len(steps) == 300
-        for (state, window, k), record in zip(steps, trace.divergence_records, strict=True):
+        for k, ((_, window, _, state), record) in enumerate(
+            zip(steps, trace.divergence_records, strict=True)
+        ):
             assert record == divergence_monitor(state, window, k=k)
+
+    @pytest.mark.parametrize("delta", [0.0, 1e-12, 1e-3])
+    @pytest.mark.parametrize("num_taps,reuse", [(1, 0), (10, 2), (16, 9)])
+    @pytest.mark.parametrize("case", ["fixed", "sccv", "noise", "zero", "custom", "ap:0.9"])
+    def test_records_match_a_replay_through_the_public_checks(
+        self, monkeypatch, case, num_taps, reuse, delta
+    ):
+        # run_single builds a quiet step's record itself and carries the
+        # misalignment over; replaying every step through local_check and
+        # divergence_monitor must give the same records and misalignment,
+        # bit for bit, the cold-start steps k < reuse included
+        kwargs = ENSEMBLE_CASES[case]
+        algorithm = AP if "ap_step" in kwargs else SMAP
+        config = ScenarioConfig(
+            iterations=150, num_taps=num_taps, reuse=reuse, delta=delta, seed=25, **kwargs
+        )
+        trace, steps = _spied_run(monkeypatch, config, algorithm)
+        assert len(steps) == config.iterations
+        assert 0 < trace.update_flags.sum() and (algorithm == AP or not trace.update_flags.all())
+        local, monitored = [], []
+        for k, (before, window, cv, after) in enumerate(steps):
+            updated = bool(trace.update_flags[k])
+            if algorithm == AP:  # the SM-AP target that AP's move aims at
+                cv = (1.0 - config.ap_step) * error_vector(before, window)
+            local.append(local_check(trace.w0, before, after, window, cv, updated, delta, k=k))
+            monitored.append(divergence_monitor(after, window, k=k))
+        assert trace.local_records == tuple(local)
+        assert trace.divergence_records == tuple(monitored)
+        misalignment = [float(trace.w0 @ trace.w0)] + [rec.w_tilde_sq_after for rec in local]
+        npt.assert_array_equal(trace.misalignment, misalignment)
+
+
+def _spied_run(monkeypatch, config, algorithm):
+    """``run_single``'s trace, and each step's ``(state before, window, cv,
+    state after)`` as its update took them; AP's entry has no cv (None)."""
+    steps = []
+
+    def spy(update):
+        def step(before, window, *args, **kwargs):
+            after, outcome = update(before, window, *args, **kwargs)
+            steps.append((before, window, args[0] if update is smap_update else None, after))
+            return after, outcome
+
+        return step
+
+    monkeypatch.setattr(sim, "smap_update", spy(smap_update))
+    monkeypatch.setattr(sim, "ap_update", spy(ap_update))
+    return run_single(config, algorithm, run_rng(config.seed, 0)), steps
 
 
 def _zero_input(config, w0, rng):
@@ -843,3 +885,15 @@ class TestSteadyState:
 
     def test_short_curve_uses_last_point(self):
         assert steady_state_db(np.array([1.0, 0.1])) == pytest.approx(-10.0)
+
+    @pytest.mark.parametrize("fraction", [0.0, -1.0, 5.0, float("nan"), float("inf"), "0.2"])
+    def test_fraction_outside_the_unit_interval_is_rejected(self, fraction):
+        # each of these used to average some other tail, or raise outside SmapError
+        with pytest.raises(InvalidInputError) as exc:
+            steady_state_db(np.ones(10), fraction)
+        assert exc.value.field == "fraction"
+
+    @pytest.mark.parametrize("fraction,tail", [(0.2, 20), (1.0, 100)])
+    def test_fraction_sets_the_tail(self, fraction, tail):
+        curve = np.random.default_rng(3).uniform(0.5, 2.0, 100)
+        assert steady_state_db(curve, fraction) == float(10.0 * np.log10(curve[-tail:].mean()))

@@ -52,6 +52,8 @@ commands=(
     "verify --instances 0"
     "run --snr-db 3070 --iters 200"
     "mc --noise-var 1e307 --snr-db 0 --iters 200 --runs 3 --algos smap:fixed"
+    "run --delta 0 --taps 16 --reuse 9 --iters 300 --seed 25 --cv sccv"
+    "run --iters 2000 --cv zero --seed 8"
 )
 
 # run_all TREE OUT: every command against TREE's sources, outputs under OUT;
