@@ -115,8 +115,7 @@ def make_cv(
         )
     if prior.ndim == 2 and strategy.kind == CUSTOM:
         raise InvalidInputError("a custom rule takes one error vector per call")
-    if not gamma_bar > 0.0:
-        raise InvalidInputError(f"threshold must be positive, got {gamma_bar}")
+    check_threshold(gamma_bar)
     if strategy.kind == FIXED:
         return np.full(prior.shape, gamma_bar)
     if strategy.kind == SCCV:
@@ -158,3 +157,9 @@ def satisfies_bound(cv: np.ndarray, gamma_bar: float):
     """
     ok = np.abs(cv).max(axis=-1, initial=0.0) <= gamma_bar  # NaN if any component is
     return ok if ok.ndim else bool(ok)
+
+
+def check_threshold(gamma_bar: float) -> None:
+    """Reject an error-magnitude threshold that is not positive and finite."""
+    if not 0.0 < gamma_bar < np.inf:  # nan fails both comparisons
+        raise InvalidInputError(f"threshold must be positive and finite, got {gamma_bar}")

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .constraints import CV_BOUND_SLACK, satisfies_bound
+from .constraints import CV_BOUND_SLACK, check_threshold, satisfies_bound
 from .errors import ConstraintBoundError, InvalidInputError
 from .linalg import all_finite, gram, solve_spd
 
@@ -92,6 +92,15 @@ class DataWindow:
                     raise InvalidInputError(f"window {name} must be finite")
 
 
+def _unchecked_window(X: np.ndarray, d: np.ndarray, n: Optional[np.ndarray]) -> DataWindow:
+    """A ``DataWindow`` of float arrays that the caller has checked, built without re-checking."""
+    window = object.__new__(DataWindow)
+    object.__setattr__(window, "X", X)
+    object.__setattr__(window, "d", d)
+    object.__setattr__(window, "n", n)
+    return window
+
+
 @dataclass(frozen=True, slots=True)
 class UpdateOutcome:
     """Everything observable about one gated step without the true system.
@@ -111,6 +120,17 @@ def error_vector(state: FilterState, window: DataWindow) -> np.ndarray:
             f"window rows {window.X.shape[0]} do not match tap count {state.w.shape[0]}"
         )
     return window.d - window.X.T @ state.w
+
+
+def _prior(state: FilterState, window: DataWindow, prior: Optional[np.ndarray]) -> np.ndarray:
+    """``prior`` if it can be the step's ``error_vector``, which is computed when it is None."""
+    e = error_vector(state, window) if prior is None else np.asarray(prior, dtype=float)
+    if e.shape != window.d.shape or window.X.shape[0] != state.w.shape[0]:
+        raise InvalidInputError(
+            f"prior errors {e.shape} do not fit {state.w.size} taps and window {window.X.shape}",
+            field="prior",
+        )
+    return e
 
 
 def indicator(e0: float, gamma_bar: float) -> bool:
@@ -166,6 +186,7 @@ def smap_update(
         The new state (the same object when no update fires) and the
         per-step record.
     """
+    check_threshold(gamma_bar)
     cv = np.asarray(cv, dtype=float)
     if cv.shape != window.d.shape:
         raise InvalidInputError(
@@ -175,12 +196,7 @@ def smap_update(
         raise ConstraintBoundError(
             f"constraint magnitude {np.abs(cv).max():.6g} exceeds threshold {gamma_bar:.6g}"
         )
-    e = error_vector(state, window) if prior is None else np.asarray(prior, dtype=float)
-    if e.shape != window.d.shape or window.X.shape[0] != state.w.shape[0]:
-        raise InvalidInputError(
-            f"prior errors {e.shape} do not fit {state.w.size} taps and window {window.X.shape}",
-            field="prior",
-        )
+    e = _prior(state, window, prior)
     if not indicator(e[0], gamma_bar):
         return state, UpdateOutcome(False, e)
     y = solve_spd(gram(window.X), e - cv, delta)
@@ -190,18 +206,19 @@ def smap_update(
 
 
 def ap_update(
-    state: FilterState, window: DataWindow, mu: float, delta: float = 0.0
+    state: FilterState, window: DataWindow, mu: float, delta: float = 0.0,
+    *, prior: Optional[np.ndarray] = None,
 ) -> tuple[FilterState, UpdateOutcome]:
     """Conventional affine projection step ``w + mu X (X^T X + delta I)^{-1} e``.
 
-    Updates unconditionally; ``mu`` must lie in ``[0, 1]``.  The move is
-    the SM-AP move toward the constraint vector ``(1 - mu) e``, which is
-    the target ``local_check`` certifies it against.  Returns the new
-    state and ``UpdateOutcome(True, d - X.T w_new)``.
+    Updates unconditionally; ``mu`` must lie in ``[0, 1]``, and ``prior``
+    is as for ``smap_update``.  The move is the SM-AP move toward the
+    constraint vector ``(1 - mu) e``, the target ``local_check`` certifies
+    it against.  Returns the new state and ``UpdateOutcome(True, d - X.T w_new)``.
     """
     if not 0.0 <= mu <= 1.0:
         raise InvalidInputError(f"step size must lie in [0, 1], got {mu}")
-    e = error_vector(state, window)
+    e = _prior(state, window, prior)
     y = solve_spd(gram(window.X), e, delta)
     new_state = FilterState(state.w + mu * (window.X @ y))
     return new_state, UpdateOutcome(True, window.d - window.X.T @ new_state.w)

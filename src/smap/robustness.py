@@ -19,7 +19,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DegenerateDenominatorError, InvalidInputError
-from .filters import DataWindow, FilterState
+from .filters import DataWindow, FilterState, error_vector
 from .linalg import gram, solve_spd
 
 # Classification labels shared by the energy records and the trace CSV.
@@ -135,6 +135,8 @@ def local_check(
         Regularization the step used; reused verbatim here.
     """
     w0 = np.asarray(w0, dtype=float)
+    if not w0.shape == state_before.w.shape == state_after.w.shape == window.X.shape[:1]:
+        raise InvalidInputError(f"system and coefficient taps do not fit window {window.X.shape}")
     wt_before = w0 - state_before.w
     wt_sq_before = float(wt_before @ wt_before)
     wt_after = w0 - state_after.w
@@ -147,6 +149,8 @@ def local_check(
     if window.n is None:
         raise InvalidInputError("energy check needs the noise window")
     cv = np.asarray(cv, dtype=float)
+    if cv.shape != window.d.shape:
+        raise InvalidInputError(f"constraint shape {cv.shape} does not fit window {window.X.shape}")
     e_tilde = window.X.T @ wt_before
     rhs = np.array((e_tilde, window.n, cv)).T  # Fortran order, as LAPACK solves it
     sols = solve_spd(gram(window.X), rhs, delta)
@@ -207,5 +211,5 @@ def divergence_monitor(
     out divergence of the error sequence.  The misalignment after the
     step is ``LocalRobustnessRecord.w_tilde_sq_after``.
     """
-    posterior = window.d - window.X.T @ state_after.w
+    posterior = error_vector(state_after, window)  # d - X.T w, its shapes checked
     return DivergenceMonitorRecord(k, float(np.abs(posterior).max()))

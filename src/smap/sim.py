@@ -25,6 +25,7 @@ from .constraints import (
 )
 from .errors import SimulationError, SmapError, integer, real, require
 from .filters import DataWindow, FilterState, ap_update, error_vector, indicator, smap_update
+from .filters import _unchecked_window
 from .linalg import all_finite, dgttrs, solve_spd_stack
 from .robustness import (
     NO_UPDATE,
@@ -268,20 +269,21 @@ def run_rng(seed: int, run_index: int) -> np.random.Generator:
 
 def _series(
     config: ScenarioConfig, rngs: list[np.random.Generator]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Draw one system and signal set per generator, laid out as both engines read them.
 
-    Returns ``w0``, one row per run, the input store ``xs`` and the views
-    ``d`` and ``n``.  At step ``k`` the entries ``[r, s + j]`` with
-    ``s = K-1-k`` of ``d``, ``n`` and the window view ``inputs`` of ``xs``
-    hold run ``r``'s reference, noise sample and input vector ``j`` steps
-    back, and zeros before the start of the run.  Inputs are stored
-    newest sample first, with ``inputs[r, i] = xs[r, i:i+N]``; reference
-    and noise are stored oldest first behind ``L + 1`` zeros and read
-    reversed (with positive strides, ``local_check``'s noise dot product
-    would go to BLAS and round differently).  Both engines take their
-    products over strided windows of this store, so numpy runs the same
-    loops for both at every filter length.
+    Returns ``w0``, one row per run, the input store ``xs``, the views ``d``
+    and ``n``, and ``bad``, each run's first step whose window takes in a
+    non-finite sample, or ``K + 1``.  At step ``k`` the entries
+    ``[r, s + j]`` with ``s = K-1-k`` of ``d``, ``n`` and the window view
+    ``inputs`` of ``xs`` hold run ``r``'s reference, noise sample and
+    input vector ``j`` steps back, and zeros before the start of the run.
+    Inputs are stored newest sample first, ``inputs[r, i] = xs[r, i:i+N]``;
+    reference and noise are stored oldest first behind ``L + 1`` zeros and
+    read reversed (with positive strides, ``local_check``'s noise dot
+    product would go to BLAS and round differently).  Both engines take
+    their products over strided windows of this store, so numpy runs the
+    same loops for both at every filter length.
     """
     K, N, L = config.iterations, config.num_taps, config.reuse
     R = len(rngs)
@@ -293,7 +295,11 @@ def _series(
         w0[r] = generate_system(N, rng)
         x, ds[r, L + 1 :], ns[r, L + 1 :] = generate_signals(config, w0[r], rng)
         xs[r, :K] = x[::-1]
-    return w0, xs, ds[:, ::-1], ns[:, ::-1]
+    finite = np.isfinite(xs[:, :K][:, ::-1]) & np.isfinite(ds[:, L + 1 :])
+    finite &= np.isfinite(ns[:, L + 1 :])
+    bad = np.full(R, K + 1)  # a sample is taken in first, and fails, at its own step
+    np.minimum.at(bad, *np.nonzero(~finite))
+    return w0, xs, ds[:, ::-1], ns[:, ::-1], bad
 
 
 def _check_algorithm(config: ScenarioConfig, algorithm: str) -> None:
@@ -321,15 +327,16 @@ def run_single(
     """
     _check_algorithm(config, algorithm)
     K, L = config.iterations, config.reuse
-    w0, xs, d, n = (a[0] for a in _series(config, [rng]))
+    w0, xs, d, n, bad = (a[0] for a in _series(config, [rng]))
+    bad = int(bad)  # the series are finite before this step; its checked window raises
     inputs = sliding_window_view(xs, config.num_taps)
     state = FilterState.zeros(config.num_taps)
     misalignment = np.empty(K + 1)
     misalignment[0] = wt_sq = float(w0 @ w0)
-    errors = np.empty(K)
+    priors = np.empty((K, L + 1))
     flags = np.zeros(K, dtype=bool)
     local_records: list[LocalRobustnessRecord] = []
-    div_records: list[DivergenceMonitorRecord] = []
+    peaks: list[float] = []  # max |posterior error| of each updating step
     relaxations = 0
     zero_cv = np.zeros(L + 1)
     lag = np.arange(L + 1)
@@ -338,13 +345,13 @@ def run_single(
     try:
         for k in range(K):
             s = K - 1 - k
-            window = DataWindow(inputs[s : s + L + 1].T, d[s : s + L + 1], n[s : s + L + 1])
+            make = _unchecked_window if k < bad else DataWindow
+            window = make(inputs[s : s + L + 1].T, d[s : s + L + 1], n[s : s + L + 1])
             prev = state
-            e = error_vector(prev, window)
-            errors[k] = e[0]
+            priors[k] = e = error_vector(prev, window)
             if algorithm == AP:  # the SM-AP move toward (1 - mu) e; padded lags of e are 0
                 cv = (1.0 - config.ap_step) * e
-                state, outcome = ap_update(prev, window, config.ap_step, config.delta)
+                state, outcome = ap_update(prev, window, config.ap_step, config.delta, prior=e)
             else:
                 if indicator(e[0], config.gamma_bar):
                     cv = make_cv(
@@ -365,24 +372,25 @@ def run_single(
             if updated:
                 record = local_check(w0, prev, state, window, cv, True, config.delta, k=k)
                 wt_sq = record.w_tilde_sq_after
+                peaks.append(float(np.abs(outcome.posterior_errors).max()))
             else:  # local_check's record of a quiet step: the misalignment carries over
                 record = LocalRobustnessRecord(k, False, wt_sq, wt_sq, 0.0, 0.0, NO_UPDATE,
                                                0.0, wt_sq, 0.0, 0.0)
             local_records.append(record)
             misalignment[k + 1] = wt_sq
-            # divergence_monitor's d - X.T @ w, as the update took it
-            posterior = float(np.abs(outcome.posterior_errors).max())
-            div_records.append(DivergenceMonitorRecord(k, posterior))
     except SmapError as err:
         raise SimulationError(f"iteration {k}: {err}") from err
     report = global_accumulate(local_records, misalignment[0], misalignment[K])
+    # divergence_monitor's max |d - X.T w|, as the step took it; a quiet step's are its priors
+    posterior = np.abs(priors).max(axis=1)
+    posterior[flags] = peaks
     return RunTrace(
         w0=w0,
         misalignment=misalignment,
-        errors=errors,
+        errors=priors[:, 0].copy(),
         update_flags=flags,
         local_records=tuple(local_records),
-        divergence_records=tuple(div_records),
+        divergence_records=tuple(map(DivergenceMonitorRecord, range(K), posterior.tolist())),
         global_report=report,
         cv_relaxations=relaxations,
     )
@@ -467,7 +475,7 @@ def _lockstep_block(
     ap = algorithm == AP
     relaxed = not ap and strategy.kind == NOISE
     updates, violations, relaxations = counts
-    w0, xs, ds, ns = _series(config, [run_rng(config.seed, r) for r in range(first, stop)])
+    w0, xs, ds, ns, bad = _series(config, [run_rng(config.seed, r) for r in range(first, stop)])
     # Products are taken over strided windows of the store, or of segments
     # gathered from it and windowed alike, never over contiguous copies:
     # numpy then runs the same unblocked loops as it does on run_single's
@@ -485,11 +493,7 @@ def _lockstep_block(
     w = np.zeros((R, N))
     errors = np.empty((K, R))
     noise_energy = np.zeros(R)
-    bad = np.full(R, K + 1)  # each run's first failing step; K: zero denominator, K + 1: none
-    finite = np.isfinite(xs[:, :K]) & np.isfinite(ds[:, :K]) & np.isfinite(ns[:, :K])
-    if not finite.all():  # a non-finite sample fails at its step
-        np.minimum.at(bad, *np.nonzero(~finite[:, ::-1]))
-    kfail = int(bad.min())  # the first failing step found so far
+    kfail = int(bad.min())  # the first failing step found so far; bad[r] = K: zero denominator
 
     def fail(rows: np.ndarray, steps, failing: np.ndarray) -> None:
         """Fold runs ``rows[failing]``, at step ``steps`` or ``steps[failing]``, into ``bad``."""

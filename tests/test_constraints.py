@@ -50,6 +50,14 @@ def test_strategy_errors_name_their_field(field, build):
     assert exc.value.field == field
 
 
+@pytest.mark.parametrize("gamma_bar", [math.nan, math.inf, -math.inf, 0.0, -0.1])
+@pytest.mark.parametrize("strategy", [fixed_cv(), sc_cv(), noise_cv(), zero_cv()], ids=lambda s: s.kind)
+def test_threshold_that_is_not_positive_and_finite_is_rejected(strategy, gamma_bar):
+    # an infinite threshold once gave an all-inf fixed target
+    with pytest.raises(InvalidInputError, match="threshold must be positive and finite"):
+        make_cv(strategy, np.ones(3), np.zeros(3), gamma_bar, enforce_bound=False)
+
+
 def test_fixed_fills_threshold():
     cv = make_cv(fixed_cv(), np.array([0.5, -0.1, 0.2]), None, GAMMA)
     npt.assert_array_equal(cv, [GAMMA, GAMMA, GAMMA])

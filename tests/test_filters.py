@@ -270,7 +270,8 @@ def test_ap_step_out_of_range(mu):
 
 @pytest.mark.parametrize("gamma_bar", [0.05, 5.0], ids=["firing", "quiet"])
 def test_prior_errors_leave_the_step_unchanged(rng, make_instance, gamma_bar):
-    # the caller's error_vector, passed in, gives the step taken without it, bit for bit
+    # the caller's error_vector, passed in, gives the step taken without it,
+    # bit for bit, in the gated step and in AP's
     inst = make_instance(rng)
     state, window = inst["state"], inst["window"]
     cv = np.clip(inst["cv"], -gamma_bar, gamma_bar)
@@ -278,11 +279,14 @@ def test_prior_errors_leave_the_step_unchanged(rng, make_instance, gamma_bar):
     assert (abs(prior[0]) > gamma_bar) == (gamma_bar == 0.05)
     plain = smap_update(state, window, cv, gamma_bar, 1e-12)
     given = smap_update(state, window, cv, gamma_bar, 1e-12, prior=prior)
-    assert given[1].updated == plain[1].updated
-    assert given[0].w.tobytes() == plain[0].w.tobytes()
-    assert given[1].posterior_errors.tobytes() == plain[1].posterior_errors.tobytes()
     if not plain[1].updated:
         assert given[0] is state
+    ap_plain = ap_update(state, window, 0.7, 1e-12)
+    ap_given = ap_update(state, window, 0.7, 1e-12, prior=prior)
+    for plain, given in ((plain, given), (ap_plain, ap_given)):
+        assert given[1].updated == plain[1].updated
+        assert given[0].w.tobytes() == plain[0].w.tobytes()
+        assert given[1].posterior_errors.tobytes() == plain[1].posterior_errors.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -292,6 +296,20 @@ def test_prior_errors_leave_the_step_unchanged(rng, make_instance, gamma_bar):
 def test_prior_that_does_not_fit_the_step_is_rejected(taps, shape):
     # the last case fits the window but not the state, so it is no error_vector of the step
     window = DataWindow(np.ones((2, 3)), np.ones(3))
+    state, prior = FilterState(np.zeros(taps)), np.ones(shape)
     with pytest.raises(InvalidInputError) as exc:
-        smap_update(FilterState(np.zeros(taps)), window, np.zeros(3), GAMMA, prior=np.ones(shape))
+        smap_update(state, window, np.zeros(3), GAMMA, prior=prior)
     assert exc.value.field == "prior"
+    with pytest.raises(InvalidInputError) as exc:
+        ap_update(state, window, 0.5, prior=prior)
+    assert exc.value.field == "prior"
+
+
+@pytest.mark.parametrize("gamma_bar", [np.nan, np.inf, -np.inf, 0.0, -0.1])
+@pytest.mark.parametrize("enforce", [True, False])
+def test_threshold_that_is_not_positive_and_finite_is_rejected(gamma_bar, enforce):
+    # a nan once failed the bound check as a magnitude, and a negative
+    # threshold without the bound check fired the gate on every step
+    state, window = FilterState.zeros(2), DataWindow(np.eye(2), np.zeros(2))
+    with pytest.raises(InvalidInputError, match="threshold must be positive and finite"):
+        smap_update(state, window, np.zeros(2), gamma_bar, enforce_cv_bound=enforce)

@@ -209,3 +209,24 @@ def test_divergence_monitor_reports_raw_errors_without_step(rng):
     d = rng.standard_normal(2)
     div = divergence_monitor(state, DataWindow(X, d))
     assert div.max_abs_posterior == pytest.approx(np.max(np.abs(d)))
+
+
+@pytest.mark.parametrize("updated", [False, True])
+def test_local_check_rejects_a_system_of_other_taps(rng, updated):
+    state = FilterState(np.zeros(5))
+    window = DataWindow(rng.standard_normal((5, 2)), rng.standard_normal(2), np.zeros(2))
+    with pytest.raises(InvalidInputError, match="taps do not fit window"):
+        local_check(rng.standard_normal(6), state, state, window, np.zeros(2), updated)
+
+
+def test_local_check_rejects_a_constraint_of_other_width(rng):
+    state = FilterState(np.zeros(4))
+    window = DataWindow(rng.standard_normal((4, 2)), rng.standard_normal(2), np.zeros(2))
+    with pytest.raises(InvalidInputError, match="constraint shape"):
+        local_check(rng.standard_normal(4), state, state, window, np.zeros(3), True)
+
+
+def test_divergence_monitor_rejects_a_state_of_other_taps(rng):
+    window = DataWindow(rng.standard_normal((5, 2)), rng.standard_normal(2))
+    with pytest.raises(InvalidInputError, match="window rows 5 do not match tap count 4"):
+        divergence_monitor(FilterState(np.zeros(4)), window)

@@ -264,14 +264,23 @@ class TestRunSingle:
     @pytest.mark.parametrize("num_taps,reuse", [(1, 0), (3, 2), (10, 2), (12, 9)])
     def test_windows_are_zero_padded_tap_delay_lines(self, monkeypatch, num_taps, reuse):
         # the engines share one store, so check it against the raw signals:
-        # every window, the warm-up steps k < L included, exactly
+        # every window, the warm-up steps k < L included, exactly; finite
+        # series go through the unchecked windows, each one the checked
+        # DataWindow of its data field for field
         windows = []
+        unchecked = sim._unchecked_window
 
         def record(X, d, n):
             windows.append((X, d, n))
-            return DataWindow(X, d, n)
+            window, checked = unchecked(X, d, n), DataWindow(X, d, n)
+            for name in ("X", "d", "n"):
+                field, expected = getattr(window, name), getattr(checked, name)
+                assert field.dtype == expected.dtype and field.shape == expected.shape
+                npt.assert_array_equal(field, expected)
+            return window
 
-        monkeypatch.setattr(sim, "DataWindow", record)
+        monkeypatch.setattr(sim, "_unchecked_window", record)
+        monkeypatch.setattr(sim, "DataWindow", None)  # no window is checked again
         config = ScenarioConfig(iterations=30, num_taps=num_taps, reuse=reuse, seed=3)
         run_single(config, SMAP, run_rng(3, 0))
         rng = run_rng(3, 0)
@@ -602,6 +611,30 @@ class TestMonteCarlo:
         with pytest.raises(SimulationError) as ensemble:
             run_monte_carlo(config, algorithm, 4)
         assert str(ensemble.value) == f"run 2 (seed 1): {single.value}"
+
+    @pytest.mark.parametrize("series", ["x", "d", "n", "xd"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("step", [0, 30, 99])
+    def test_series_check_finds_the_first_bad_step(self, monkeypatch, step, value, series):
+        # both engines read the one check of the series: the first and last
+        # steps, every non-finite value, and x and d bad at once, where the
+        # checked window names X first, as DataWindow checks it
+        def faulty(config, w0, rng):
+            signals = dict(zip("xdn", generate_signals(config, w0, rng)))
+            if rng.bit_generator.seed_seq.spawn_key == (1,):
+                for name in series:
+                    signals[name][step] = value
+            return signals["x"], signals["d"], signals["n"]
+
+        monkeypatch.setattr(sim, "generate_signals", faulty)
+        config = ScenarioConfig(iterations=100, seed=4, cv_strategy=sc_cv())
+        with pytest.raises(SimulationError) as single:
+            run_single(config, SMAP, run_rng(4, 1))
+        name = "X" if "x" in series else series
+        assert str(single.value) == f"iteration {step}: window {name} must be finite"
+        with pytest.raises(SimulationError) as ensemble:
+            run_monte_carlo(config, SMAP, 3)
+        assert str(ensemble.value) == f"run 1 (seed 4): {single.value}"
 
     @pytest.mark.parametrize("case", list(ENSEMBLE_CASES))
     def test_passing_ensemble_never_replays(self, monkeypatch, case):

@@ -54,6 +54,9 @@ commands=(
     "mc --noise-var 1e307 --snr-db 0 --iters 200 --runs 3 --algos smap:fixed"
     "run --delta 0 --taps 16 --reuse 9 --iters 300 --seed 25 --cv sccv"
     "run --iters 2000 --cv zero --seed 8"
+    "run --mu 0.9 --iters 500 --reuse 4 --delta 0 --seed 9"
+    "run --iters 1 --seed 2"
+    "run --iters 0"
 )
 
 # run_all TREE OUT: every command against TREE's sources, outputs under OUT;
