@@ -83,9 +83,10 @@ class DataWindow:
                 )
             object.__setattr__(self, "n", n)
         # A sum or dot product of finite entries is finite barring overflow
-        # (inf * 0 is nan), so one cheap test clears the usual window and
-        # only a failing one is searched for the array at fault.
-        if not math.isfinite(X.sum() + np.dot(d, d if self.n is None else self.n)):
+        # (inf * 0 is nan).  Tested apart, so that +inf never meets -inf, they
+        # clear the usual window; only one that fails is searched for the culprit.
+        dot = np.dot(d, d if self.n is None else self.n)
+        if not (math.isfinite(X.sum()) and math.isfinite(dot)):
             for name in ("X", "d", "n"):
                 value = getattr(self, name)
                 if value is not None and not np.isfinite(value).all():

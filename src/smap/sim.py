@@ -341,7 +341,6 @@ def run_single(
     zero_cv = np.zeros(L + 1)
     lag = np.arange(L + 1)
     relaxed = algorithm == SMAP and config.cv_strategy.kind == NOISE
-    k = -1
     try:
         for k in range(K):
             s = K - 1 - k
@@ -476,6 +475,8 @@ def _lockstep_block(
     relaxed = not ap and strategy.kind == NOISE
     updates, violations, relaxations = counts
     w0, xs, ds, ns, bad = _series(config, [run_rng(config.seed, r) for r in range(first, stop)])
+    for a in (xs, ds, ns):  # only at or after a run's step bad, where it stops and is replayed
+        a[~np.isfinite(a)] = 0.0
     # Products are taken over strided windows of the store, or of segments
     # gathered from it and windowed alike, never over contiguous copies:
     # numpy then runs the same unblocked loops as it does on run_single's
@@ -631,12 +632,10 @@ def _replay(config: ScenarioConfig, algorithm: str, run: int, step: int) -> NoRe
     raise SimulationError(f"{where}: failed at iteration {step}, but its replay did not fail")
 
 
-def steady_state_db(mse_curve: np.ndarray, fraction: float = 0.2) -> float:
-    """Mean of the final ``fraction`` of the curve, at least its last point, in dB."""
-    real(fraction, "fraction")
-    require(0.0 < fraction <= 1.0, "fraction", f"fraction must lie in (0, 1], got {fraction}")
+def steady_state_db(mse_curve: np.ndarray) -> float:
+    """Mean of the final fifth of the curve, at least its last point, in dB."""
     curve = np.asarray(mse_curve, dtype=float)
     if curve.size == 0:
         return float("nan")
-    tail = curve[-max(1, int(curve.size * fraction)) :]
+    tail = curve[-max(1, int(curve.size * 0.2)) :]
     return float(10.0 * np.log10(tail.mean()))

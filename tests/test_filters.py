@@ -84,6 +84,14 @@ def test_window_rejects_non_finite_data(name, bad):
         DataWindow(**arrays)
 
 
+def test_window_check_never_adds_inf_to_minus_inf():
+    # X sums to +inf and d . n to -inf; their sum would be nan, with a warning
+    X = np.zeros((3, 2))
+    X[0, 0] = np.inf
+    with pytest.raises(InvalidInputError, match="window X must be finite"):
+        DataWindow(X, np.array([np.inf, 0.0]), np.array([-0.5, 0.0]))
+
+
 def test_window_accepts_finite_data_whose_sums_overflow():
     big = np.full(2, 1e200)
     with np.errstate(over="ignore"):

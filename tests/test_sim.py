@@ -919,14 +919,6 @@ class TestSteadyState:
     def test_short_curve_uses_last_point(self):
         assert steady_state_db(np.array([1.0, 0.1])) == pytest.approx(-10.0)
 
-    @pytest.mark.parametrize("fraction", [0.0, -1.0, 5.0, float("nan"), float("inf"), "0.2"])
-    def test_fraction_outside_the_unit_interval_is_rejected(self, fraction):
-        # each of these used to average some other tail, or raise outside SmapError
-        with pytest.raises(InvalidInputError) as exc:
-            steady_state_db(np.ones(10), fraction)
-        assert exc.value.field == "fraction"
-
-    @pytest.mark.parametrize("fraction,tail", [(0.2, 20), (1.0, 100)])
-    def test_fraction_sets_the_tail(self, fraction, tail):
+    def test_tail_is_the_last_fifth(self):
         curve = np.random.default_rng(3).uniform(0.5, 2.0, 100)
-        assert steady_state_db(curve, fraction) == float(10.0 * np.log10(curve[-tail:].mean()))
+        assert steady_state_db(curve) == float(10.0 * np.log10(curve[-20:].mean()))
