@@ -206,7 +206,12 @@ def write_mc_outputs(
     out_dir: Path,
 ) -> OutputBundle:
     """Write ``mse.csv`` (one column per configuration) and ``summary.txt``."""
-    iters = results[0][3].mse_curve.size
+    lengths = {s.mse_curve.size for *_, s in results}
+    require(
+        len(lengths) == 1, "results",
+        f"results must hold one or more curves of one length, got lengths {sorted(lengths)}",
+    )
+    iters = lengths.pop()
     rows = zip(map(str, range(iters)), *(_column(s.mse_curve) for *_, s in results))
     lines = ["command: mc", f"runs: {runs}"]
     for label, config, algorithm, summary in results:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, SingularSystemError
+from .linalg import all_finite
 
 __all__ = ["ConstrainedLSProblem", "solve_constrained"]
 
@@ -27,10 +28,12 @@ class ConstrainedLSProblem:
     cv: np.ndarray
 
     def __post_init__(self) -> None:
-        X = np.asarray(self.X, dtype=float)
-        d = np.asarray(self.d, dtype=float)
-        w_prev = np.asarray(self.w_prev, dtype=float)
-        cv = np.asarray(self.cv, dtype=float)
+        for name in ("X", "d", "w_prev", "cv"):
+            value = np.asarray(getattr(self, name), dtype=float)
+            if not all_finite(value):
+                raise InvalidInputError(f"problem {name} must be finite")
+            object.__setattr__(self, name, value)
+        X, d, w_prev, cv = self.X, self.d, self.w_prev, self.cv
         if X.ndim != 2 or X.shape[1] < 1:
             raise InvalidInputError(f"inputs must form a 2-D matrix, got shape {X.shape}")
         if X.shape[1] > X.shape[0]:
@@ -43,10 +46,6 @@ class ConstrainedLSProblem:
             raise InvalidInputError(
                 f"coefficient shape {w_prev.shape} does not match input rows {X.shape[0]}"
             )
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "w_prev", w_prev)
-        object.__setattr__(self, "cv", cv)
 
 
 def solve_constrained(problem: ConstrainedLSProblem) -> np.ndarray:
@@ -74,7 +73,7 @@ def solve_constrained(problem: ConstrainedLSProblem) -> np.ndarray:
         raise SingularSystemError("stacked system is singular; inputs are rank deficient") from err
     w = solution[:m]
     residual = float(np.linalg.norm(X.T @ w - target))
-    if residual > 1e-9 * (1.0 + float(np.linalg.norm(target))):
+    if not residual <= 1e-9 * (1.0 + float(np.linalg.norm(target))):
         raise SingularSystemError(
             f"constraint residual {residual:.3e}; inputs are numerically rank deficient"
         )

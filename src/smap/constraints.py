@@ -162,4 +162,6 @@ def satisfies_bound(cv: np.ndarray, gamma_bar: float):
 def check_threshold(gamma_bar: float) -> None:
     """Reject an error-magnitude threshold that is not positive and finite."""
     if not 0.0 < gamma_bar < np.inf:  # nan fails both comparisons
-        raise InvalidInputError(f"threshold must be positive and finite, got {gamma_bar}")
+        raise InvalidInputError(
+            f"threshold must be positive and finite, got {gamma_bar}", field="gamma_bar"
+        )

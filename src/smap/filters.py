@@ -82,15 +82,10 @@ class DataWindow:
                     f"noise shape {n.shape} does not match window width {X.shape[1]}"
                 )
             object.__setattr__(self, "n", n)
-        # A sum or dot product of finite entries is finite barring overflow
-        # (inf * 0 is nan).  Tested apart, so that +inf never meets -inf, they
-        # clear the usual window; only one that fails is searched for the culprit.
-        dot = np.dot(d, d if self.n is None else self.n)
-        if not (math.isfinite(X.sum()) and math.isfinite(dot)):
-            for name in ("X", "d", "n"):
-                value = getattr(self, name)
-                if value is not None and not np.isfinite(value).all():
-                    raise InvalidInputError(f"window {name} must be finite")
+        for name in ("X", "d", "n"):
+            value = getattr(self, name)
+            if value is not None and not all_finite(value):
+                raise InvalidInputError(f"window {name} must be finite")
 
 
 def _unchecked_window(X: np.ndarray, d: np.ndarray, n: Optional[np.ndarray]) -> DataWindow:

@@ -19,6 +19,7 @@ from .constraints import (
     CV_BOUND_SLACK,
     NOISE,
     ConstraintStrategy,
+    check_threshold,
     fixed_cv,
     make_cv,
     satisfies_bound,
@@ -97,20 +98,16 @@ class ScenarioConfig:
             f"reuse factor must lie in [0, {self.num_taps - 1}] for "
             f"{self.num_taps} taps, got {self.reuse}",
         )
-        for name in ("gamma_bar", "delta", "noise_variance", "snr_db"):
-            value = getattr(self, name)
-            require(math.isfinite(value), name, f"{name} must be finite, got {value}")
+        check_threshold(self.gamma_bar)
         require(
-            self.gamma_bar > 0.0, "gamma_bar", f"threshold must be positive, got {self.gamma_bar}"
+            0.0 <= self.delta < math.inf, "delta",  # nan fails both comparisons
+            f"regularization must be nonnegative and finite, got {self.delta}",
         )
-        require(
-            self.delta >= 0.0, "delta", f"regularization must be nonnegative, got {self.delta}"
+        require(  # before the power test, which would blame an infinite variance on snr_db
+            0.0 < self.noise_variance < math.inf, "noise_variance",
+            f"noise variance must be positive and finite, got {self.noise_variance}",
         )
-        require(
-            self.noise_variance > 0.0, "noise_variance",
-            f"noise variance must be positive, got {self.noise_variance}",
-        )
-        try:
+        try:  # a nan, +inf or -inf SNR makes the power nan, inf or 0
             power = self.reference_power
         except OverflowError:
             power = math.inf
@@ -517,6 +514,7 @@ def _lockstep_block(
             Xt = np.ndarray((rows.size, m, N), g.dtype, g, 8 * m * (m + 1), (g.strides[0], 8, 8))
         if not ap and not all_finite(ef):  # the gate's check; AP has no gate
             fail(rows, steps, ~np.isfinite(ef[:, 0]))
+            ef = np.where(np.isfinite(ef[:, :1]), ef, 0.0)  # keeps a failed run's move finite
         if ap:  # AP's move is the SM-AP move toward (1 - mu) e
             cv = (1.0 - config.ap_step) * ef
         elif strategy.kind == CUSTOM:

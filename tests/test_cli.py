@@ -8,11 +8,18 @@ import numpy.testing as npt
 import pytest
 
 from smap import filters, sim
-from smap.cli import TRACE_HEADER, main, verify_update_against_kkt
+from smap.cli import TRACE_HEADER, main, verify_update_against_kkt, write_mc_outputs
 from smap.errors import InvalidInputError
 from smap.filters import FilterState
 from smap.robustness import CONTRACT, EXPAND, NO_UPDATE, PRESERVE
-from smap.sim import SMAP, ScenarioConfig, generate_signals, run_rng, run_single
+from smap.sim import (
+    SMAP,
+    ScenarioConfig,
+    generate_signals,
+    run_monte_carlo,
+    run_rng,
+    run_single,
+)
 
 
 # scenarios whose warm-stretch variance overflows though the reference power is a float
@@ -298,6 +305,18 @@ class TestMcCommand:
         assert capsys.readouterr().err == (
             "error: run 2 (seed 25): iteration 5: Gram system is not positive definite (delta=0)\n"
         )
+
+    @pytest.mark.parametrize("sizes", [[], [100, 50]])
+    def test_writer_rejects_empty_or_unequal_results(self, tmp_path, sizes):
+        # curves of 100 and 50 steps once gave a 51-line mse.csv, and no
+        # results a bare IndexError
+        results = []
+        for k in sizes:
+            config = ScenarioConfig(iterations=k)
+            results.append((f"k{k}", config, SMAP, run_monte_carlo(config, SMAP, 1)))
+        with pytest.raises(InvalidInputError, match="curves of one length"):
+            write_mc_outputs(results, 1, tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestReplay:

@@ -74,3 +74,14 @@ def test_problem_validation():
         ConstrainedLSProblem(np.ones((4, 2)), np.zeros(2), np.zeros(3), np.zeros(2))
     with pytest.raises(InvalidInputError):
         ConstrainedLSProblem(np.ones((4, 2)), np.zeros(1), np.zeros(4), np.zeros(2))
+
+
+@pytest.mark.parametrize("name", ["X", "d", "w_prev", "cv"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_problem_rejects_non_finite_data(name, bad):
+    # a NaN or inf once came out as NaN coefficients, with no error: the
+    # residual test compared NaN and found it not too large
+    arrays = {"X": np.eye(3)[:, :2], "d": np.ones(2), "w_prev": np.zeros(3), "cv": np.zeros(2)}
+    arrays[name][-1, ...] = bad
+    with pytest.raises(InvalidInputError, match=f"problem {name} must be finite"):
+        ConstrainedLSProblem(**arrays)

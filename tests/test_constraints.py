@@ -54,8 +54,9 @@ def test_strategy_errors_name_their_field(field, build):
 @pytest.mark.parametrize("strategy", [fixed_cv(), sc_cv(), noise_cv(), zero_cv()], ids=lambda s: s.kind)
 def test_threshold_that_is_not_positive_and_finite_is_rejected(strategy, gamma_bar):
     # an infinite threshold once gave an all-inf fixed target
-    with pytest.raises(InvalidInputError, match="threshold must be positive and finite"):
+    with pytest.raises(InvalidInputError, match="threshold must be positive and finite") as exc:
         make_cv(strategy, np.ones(3), np.zeros(3), gamma_bar, enforce_bound=False)
+    assert exc.value.field == "gamma_bar"
 
 
 def test_fixed_fills_threshold():

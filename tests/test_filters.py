@@ -75,17 +75,15 @@ def test_window_validation():
 def test_window_rejects_non_finite_data(name, bad):
     # a NaN in a lagged reference or noise sample would otherwise reach the
     # update or the energy check and come out as a plausible record; zeros
-    # elsewhere make a product with the bad entry inf * 0
+    # elsewhere once made a product with the bad entry inf * 0, and a warning
     arrays = {"X": np.zeros((3, 2)), "d": np.zeros(2), "n": np.zeros(2)}
     arrays[name][-1, ...] = bad
-    with np.errstate(invalid="ignore"), pytest.raises(
-        InvalidInputError, match=f"window {name} must be finite"
-    ):
+    with pytest.raises(InvalidInputError, match=f"window {name} must be finite"):
         DataWindow(**arrays)
 
 
 def test_window_check_never_adds_inf_to_minus_inf():
-    # X sums to +inf and d . n to -inf; their sum would be nan, with a warning
+    # X sums to +inf and d . n to -inf; a check of their sum would see nan, with a warning
     X = np.zeros((3, 2))
     X[0, 0] = np.inf
     with pytest.raises(InvalidInputError, match="window X must be finite"):
@@ -319,5 +317,6 @@ def test_threshold_that_is_not_positive_and_finite_is_rejected(gamma_bar, enforc
     # a nan once failed the bound check as a magnitude, and a negative
     # threshold without the bound check fired the gate on every step
     state, window = FilterState.zeros(2), DataWindow(np.eye(2), np.zeros(2))
-    with pytest.raises(InvalidInputError, match="threshold must be positive and finite"):
+    with pytest.raises(InvalidInputError, match="threshold must be positive and finite") as exc:
         smap_update(state, window, np.zeros(2), gamma_bar, enforce_cv_bound=enforce)
+    assert exc.value.field == "gamma_bar"

@@ -74,6 +74,13 @@ class TestScenarioConfig:
             {"num_taps": "3"},
             {"seed": "3"},
             {"seed": None},
+            {"gamma_bar": float("nan")},
+            {"gamma_bar": -float("inf")},
+            {"delta": float("inf")},
+            {"delta": float("nan")},
+            {"noise_variance": float("inf")},  # not blamed on snr_db's power test
+            {"snr_db": float("inf")},
+            {"snr_db": -float("inf")},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -633,6 +640,26 @@ class TestMonteCarlo:
         name = "X" if "x" in series else series
         assert str(single.value) == f"iteration {step}: window {name} must be finite"
         with pytest.raises(SimulationError) as ensemble:
+            run_monte_carlo(config, SMAP, 3)
+        assert str(ensemble.value) == f"run 1 (seed 4): {single.value}"
+
+    @pytest.mark.parametrize("reuse", [0, 2])
+    def test_prior_error_that_overflows_fails_as_in_run_single(self, monkeypatch, reuse):
+        # a finite series: a spike at step 30 leaves the coefficients finite
+        # but large, and the reference at step 31 sits at the most negative
+        # float, so the prior error d - x.w overflows to -inf at step 31
+        def spiked(config, w0, rng):
+            x, d, n = generate_signals(config, w0, rng)
+            if rng.bit_generator.seed_seq.spawn_key == (1,):
+                d[30], d[31] = 1e306, -np.finfo(float).max
+            return x, d, n
+
+        monkeypatch.setattr(sim, "generate_signals", spiked)
+        config = ScenarioConfig(iterations=100, seed=4, reuse=reuse, cv_strategy=sc_cv())
+        with np.errstate(over="ignore"), pytest.raises(SimulationError) as single:
+            run_single(config, SMAP, run_rng(4, 1))
+        assert str(single.value) == "iteration 31: current error must be finite, got -inf"
+        with np.errstate(over="ignore"), pytest.raises(SimulationError) as ensemble:
             run_monte_carlo(config, SMAP, 3)
         assert str(ensemble.value) == f"run 1 (seed 4): {single.value}"
 

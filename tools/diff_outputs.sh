@@ -57,6 +57,11 @@ commands=(
     "run --mu 0.9 --iters 500 --reuse 4 --delta 0 --seed 9"
     "run --iters 1 --seed 2"
     "run --iters 0"
+    "run --gamma-bar inf"
+    "run --gamma-bar 0"
+    "run --snr-db nan"
+    "run --delta -1"
+    "run --noise-var inf"
 )
 
 # run_all TREE OUT: every command against TREE's sources, outputs under OUT;
