@@ -146,16 +146,12 @@ def _write_outputs(out_dir: Path, table: str, header: list[str], rows, lines) ->
 
 def _config_lines(config: ScenarioConfig, algorithm: str) -> list[str]:
     if algorithm == AP:
-        lines = [f"algorithm: {algorithm}", f"mu: {_fmt(config.ap_step)}"]
+        lines = [f"algorithm: {algorithm}", f"mu: {config.ap_step!r}"]
     else:
         lines = [f"algorithm: {algorithm}", f"cv-strategy: {config.cv_strategy.kind}"]
-    # repr of each value as its declared type: floats read as in _fmt, ints plainly
-    lines += [
-        f"{flag}: {_FIELD_TYPES[name](getattr(config, name))!r}"
-        for flag, name, _ in _SCENARIO_FLAGS
-    ]
+    lines += [f"{flag}: {getattr(config, name)!r}" for flag, name, _ in _SCENARIO_FLAGS]
     if algorithm != AP and config.cv_strategy.kind == NOISE:
-        lines.append(f"noise-scale: {_fmt(config.cv_strategy.scale)}")
+        lines.append(f"noise-scale: {config.cv_strategy.scale!r}")
     return lines
 
 

@@ -51,7 +51,7 @@ class ConstraintStrategy:
 
     def __post_init__(self) -> None:
         require(self.kind in KINDS, "kind", f"unknown strategy kind {self.kind!r}")
-        real(self.scale, "scale")
+        object.__setattr__(self, "scale", real(self.scale, "scale"))
         require(
             0.0 <= self.scale < np.inf,  # nan fails both comparisons
             "scale", f"noise scale must be nonnegative and finite, got {self.scale}",

@@ -1,5 +1,6 @@
 """Exception types shared across the package, and the argument checks that name their field."""
 
+import math
 import numbers
 import operator
 
@@ -62,6 +63,10 @@ def integer(value, field: str, low: int = 0) -> int:
     return value
 
 
-def real(value, field: str) -> None:
-    """Check that ``value`` is a real number: an int, a float or a numpy one."""
+def real(value, field: str) -> float:
+    """Return ``value`` as a ``float`` if it is a real number: an int, a float or a numpy one."""
     require(isinstance(value, numbers.Real), field, f"{field} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an int too large for a float; the field's range rule rejects +-inf
+        return math.inf if value > 0 else -math.inf

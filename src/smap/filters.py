@@ -207,13 +207,13 @@ def ap_update(
 ) -> tuple[FilterState, UpdateOutcome]:
     """Conventional affine projection step ``w + mu X (X^T X + delta I)^{-1} e``.
 
-    Updates unconditionally; ``mu`` must lie in ``[0, 1]``, and ``prior``
+    Updates unconditionally; ``mu`` must lie in ``(0, 1]``, and ``prior``
     is as for ``smap_update``.  The move is the SM-AP move toward the
     constraint vector ``(1 - mu) e``, the target ``local_check`` certifies
     it against.  Returns the new state and ``UpdateOutcome(True, d - X.T w_new)``.
     """
-    if not 0.0 <= mu <= 1.0:
-        raise InvalidInputError(f"step size must lie in [0, 1], got {mu}")
+    if not 0.0 < mu <= 1.0:  # nan fails both comparisons
+        raise InvalidInputError(f"step size must lie in (0, 1], got {mu}", field="ap_step")
     e = _prior(state, window, prior)
     y = solve_spd(gram(window.X), e, delta)
     new_state = FilterState(state.w + mu * (window.X @ y))

@@ -85,10 +85,10 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         for name, low in (("num_taps", 1), ("reuse", 0), ("iterations", 0), ("seed", 0)):
-            integer(getattr(self, name), name, low)
+            object.__setattr__(self, name, integer(getattr(self, name), name, low))
         for name in ("gamma_bar", "delta", "noise_variance", "ar_coefficient", "snr_db", "ap_step"):
             if name != "ap_step" or self.ap_step is not None:
-                real(getattr(self, name), name)
+                object.__setattr__(self, name, real(getattr(self, name), name))
         require(
             isinstance(self.cv_strategy, ConstraintStrategy), "cv_strategy",
             f"cv_strategy must be a ConstraintStrategy, got {self.cv_strategy!r}",

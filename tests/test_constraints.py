@@ -42,6 +42,7 @@ def test_strategy_validation():
         ("scale", lambda: noise_cv(math.nan)),
         ("fn", lambda: ConstraintStrategy("custom")),
         ("fn", lambda: custom_cv(5)),
+        ("scale", lambda: noise_cv(10**400)),  # +inf as a float, so out of range
     ],
 )
 def test_strategy_errors_name_their_field(field, build):

@@ -88,12 +88,14 @@ def test_window_check_never_adds_inf_to_minus_inf():
     X[0, 0] = np.inf
     with pytest.raises(InvalidInputError, match="window X must be finite"):
         DataWindow(X, np.array([np.inf, 0.0]), np.array([-0.5, 0.0]))
+    X[1, 1] = -np.inf  # X alone holds +inf and -inf, whose sum would be nan, with a warning
+    with pytest.raises(InvalidInputError, match="window X must be finite"):
+        DataWindow(X, np.zeros(2))
 
 
 def test_window_accepts_finite_data_whose_sums_overflow():
     big = np.full(2, 1e200)
-    with np.errstate(over="ignore"):
-        window = DataWindow(np.full((3, 2), 1e308), big, big)
+    window = DataWindow(np.full((3, 2), 1e308), big, big)
     npt.assert_array_equal(window.n, big)
 
 
@@ -216,8 +218,7 @@ def test_non_finite_current_error_is_rejected(bad):
     with pytest.raises(InvalidInputError):
         indicator(bad, GAMMA)
     # finite data whose current error overflows: X.T @ w is inf + inf or inf - inf
-    with np.errstate(over="ignore"):  # the finiteness test's sum overflows
-        state = FilterState(np.array([1e308, 1e308]))
+    state = FilterState(np.array([1e308, 1e308]))  # finite, though its sum overflows
     sign = -1.0 if np.isnan(bad) else 1.0
     window = DataWindow(np.array([[1e10, 0.0], [sign * 1e10, 1.0]]), np.zeros(2))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
@@ -240,14 +241,6 @@ def test_duplicate_columns_need_regularization():
         smap_update(state, window, np.zeros(2), 0.1)
 
 
-def test_ap_zero_step_leaves_state(rng):
-    X = rng.standard_normal((5, 2))
-    d = rng.standard_normal(2)
-    state = FilterState(rng.standard_normal(5))
-    new_state = ap_update(state, DataWindow(X, d), 0.0)[0]
-    npt.assert_array_equal(new_state.w, state.w)
-
-
 def test_ap_full_step_equals_zero_target_projection(rng, make_instance):
     inst = make_instance(rng)
     via_ap = ap_update(inst["state"], inst["window"], 1.0)[0]
@@ -268,10 +261,12 @@ def test_ap_matches_direct_formula(rng):
     npt.assert_allclose(new_state.w, expected, rtol=1e-9)
 
 
-@pytest.mark.parametrize("mu", [-0.1, 1.5])
+@pytest.mark.parametrize("mu", [-0.1, 1.5, 0.0, np.nan])
 def test_ap_step_out_of_range(mu):
-    with pytest.raises(InvalidInputError):
+    # the range ScenarioConfig and `smap run --mu` take: 0 < mu <= 1
+    with pytest.raises(InvalidInputError, match=r"step size must lie in \(0, 1\]") as exc:
         ap_update(FilterState(np.zeros(3)), DataWindow(np.ones((3, 1)), np.ones(1)), mu)
+    assert exc.value.field == "ap_step"
 
 
 @pytest.mark.parametrize("gamma_bar", [0.05, 5.0], ids=["firing", "quiet"])

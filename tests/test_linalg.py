@@ -14,7 +14,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 import smap
 from smap.errors import InvalidInputError, SingularSystemError
-from smap.linalg import _cholesky_solve, gram, solve_spd, solve_spd_stack
+from smap.linalg import _cholesky_solve, all_finite, gram, solve_spd, solve_spd_stack
 
 
 def loop_gram(X):
@@ -82,7 +82,8 @@ def test_gram_bitwise_symmetric(X):
 
 
 @pytest.mark.parametrize(
-    "bad", [np.ones(3), np.ones((3, 0)), np.array([[np.nan], [1.0]])]
+    "bad",
+    [np.ones(3), np.ones((3, 0)), np.array([[np.nan], [1.0]]), np.array([[np.inf], [-np.inf]])],
 )
 def test_gram_rejects_bad_input(bad):
     with pytest.raises(InvalidInputError):
@@ -100,7 +101,9 @@ def test_gram_rejects_non_finite_entries_anywhere(bad):
 
 def test_gram_accepts_finite_data_whose_sum_overflows():
     X = np.array([[1e308, 1.0], [1e308, 0.0]])
-    with np.errstate(over="ignore"):
+    assert all_finite(X)  # its sum overflows, and no sum is taken
+    assert not all_finite(np.array([np.inf, -np.inf, 1.0]))  # its sum is nan
+    with np.errstate(over="ignore"):  # the product itself overflows
         npt.assert_array_equal(gram(X), X.T @ X)
 
 

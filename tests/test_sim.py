@@ -81,6 +81,15 @@ class TestScenarioConfig:
             {"noise_variance": float("inf")},  # not blamed on snr_db's power test
             {"snr_db": float("inf")},
             {"snr_db": -float("inf")},
+            # an int too large for a float is +-inf to the field's own range rule
+            {"gamma_bar": 10**400},
+            {"delta": 10**400},
+            {"noise_variance": 10**400},
+            {"ap_step": 10**400},
+            {"snr_db": 10**400},
+            # numpy floats reach the power test as Python floats, so nothing warns first
+            {"snr_db": np.float64(4000.0)},
+            {"snr_db": 100.0, "noise_variance": np.float64(1e300)},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -89,10 +98,35 @@ class TestScenarioConfig:
         assert exc.value.field == next(iter(kwargs))
 
     def test_accepts_numpy_integers(self):
+        # each field is stored as a Python int, so a run matches that of Python ints
+        for kwargs in (
+            {"num_taps": np.int64(4), "reuse": np.int32(1), "iterations": np.int16(60),
+             "seed": np.uint8(3)},
+            {"iterations": np.uint8(60)},  # the warm stretch's length once overflowed uint8
+            {"iterations": np.int8(120), "num_taps": np.int8(10)},  # K + L + N once wrapped
+        ):
+            config = ScenarioConfig(**kwargs)
+            plain = ScenarioConfig(**{name: int(value) for name, value in kwargs.items()})
+            trace = run_single(config, SMAP, run_rng(config.seed, 0))
+            assert trace.errors.size == kwargs["iterations"]
+            again = run_single(plain, SMAP, run_rng(plain.seed, 0))
+            npt.assert_array_equal(trace.errors, again.errors)
+            npt.assert_array_equal(trace.misalignment, again.misalignment)
+            ensemble, plain_ensemble = (run_monte_carlo(c, SMAP, 2) for c in (config, plain))
+            npt.assert_array_equal(ensemble.mse_curve, plain_ensemble.mse_curve)
+            npt.assert_array_equal(ensemble.update_rates, plain_ensemble.update_rates)
+        # numpy floats, float32 and bools too are kept as the int or float their check produced
         config = ScenarioConfig(
-            num_taps=np.int64(4), reuse=np.int32(1), iterations=np.int16(60), seed=np.uint8(3)
+            num_taps=np.int64(4), reuse=True, iterations=np.uint16(50), seed=np.uint8(3),
+            gamma_bar=np.float32(0.5), delta=np.int32(0), noise_variance=np.float64(0.01),
+            ar_coefficient=np.float16(0.5), snr_db=np.int8(20), ap_step=True,
+            cv_strategy=noise_cv(np.float32(0.5)),
         )
-        assert run_single(config, SMAP, run_rng(config.seed, 0)).errors.size == 60
+        names = ("num_taps", "reuse", "iterations", "seed", "gamma_bar", "delta",
+                 "noise_variance", "ar_coefficient", "snr_db", "ap_step")
+        stored = [getattr(config, name) for name in names] + [config.cv_strategy.scale]
+        assert [type(v) for v in stored] == [int] * 4 + [float] * 7
+        assert stored == [4, 1, 50, 3, 0.5, 0.0, 0.01, 0.5, 20.0, 1.0, 0.5]
 
 
 class TestSignals:

@@ -6,10 +6,12 @@
 # Exports REV into a temporary directory, runs the same smap commands
 # in both trees with the same --out-dir names, and compares trace.csv,
 # summary.txt, mse.csv and each command's stdout, stderr and exit status
-# with diff -r, so a command that fails is compared too.  Exits nonzero on
-# any difference.  The directory is removed on exit.  The commands are
-# those whose digests tests/test_golden.py pins, a few more, and some the
-# library rejects, whose usage errors are then compared too.
+# with diff -r, so a command that fails is compared too.  Each command runs
+# under -W error::RuntimeWarning, as the test suite does, so a command that
+# starts to warn shows up as a difference.  Exits nonzero on any difference.
+# The directory is removed on exit.  The commands are those whose digests
+# tests/test_golden.py pins, a few more, and some the library rejects, whose
+# usage errors are then compared too.
 set -euo pipefail
 
 rev=${1:?usage: tools/diff_outputs.sh REV}
@@ -78,7 +80,7 @@ run_all() {
             *) out=(--out-dir "cmd$i") ;;
         esac
         status=0
-        PYTHONPATH="$1/src" python3 -m smap $cmd "${out[@]}" >> "cmd$i.stdout" 2> stderr || status=$?
+        PYTHONPATH="$1/src" python3 -W error::RuntimeWarning -m smap $cmd "${out[@]}" >> "cmd$i.stdout" 2> stderr || status=$?
         cat stderr >> "cmd$i.stdout"
         echo "exit status $status" >> "cmd$i.stdout"
     done
