@@ -181,12 +181,12 @@ def write_run_outputs(
 def _run_rows(trace: RunTrace):
     """Yield the rows of ``trace.csv``.  A quiet step's record holds the unchanged
     misalignment in both sums and zeros in both terms (see ``local_check``), so only
-    the updating steps' records need formatting."""
-    moved = [rec for rec in trace.local_records if rec.updated]
+    the updating steps' records are read."""
+    moved = [trace.local_records[k] for k in np.flatnonzero(trace.update_flags).tolist()]
     terms = [(rec.g1, rec.g2, rec.lhs, rec.rhs, rec.w_tilde_sq_after) for rec in moved]
     updates = zip(*map(_column, np.reshape(terms, (-1, 5)).T), [r.classification for r in moved])
     mis = _fmt(trace.misalignment[0])
-    posterior = _column([div.max_abs_posterior for div in trace.divergence_records])
+    posterior = _column(trace.max_abs_posterior)
     flags = trace.update_flags.tolist()
     for k, e, updated, post in zip(count(), _column(trace.errors), flags, posterior):
         if updated:

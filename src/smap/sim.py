@@ -8,7 +8,9 @@ monitor attached, and averages Monte-Carlo ensembles.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NoReturn, Optional
 
 import numpy as np
@@ -98,6 +100,10 @@ class ScenarioConfig:
             f"reuse factor must lie in [0, {self.num_taps - 1}] for "
             f"{self.num_taps} taps, got {self.reuse}",
         )
+        samples = _CAL_SAMPLES + self.iterations + self.num_taps + self.reuse
+        huge = "iterations" if self.iterations >= self.num_taps else "num_taps"
+        require(8 * samples <= np.iinfo(np.intp).max, huge,  # numpy's largest array, in bytes
+                f"a run's {samples} float64 samples exceed the largest array numpy can hold")
         check_threshold(self.gamma_bar)
         require(
             0.0 <= self.delta < math.inf, "delta",  # nan fails both comparisons
@@ -137,15 +143,17 @@ class RunTrace:
 
     ``misalignment`` holds ``iterations + 1`` entries (before each step
     plus the final state); the other series have one entry per
-    iteration.
+    iteration.  ``local_records`` and ``divergence_records`` equal the tuples
+    of their records; a quiet step's are built from the columns when read.
     """
 
     w0: np.ndarray
     misalignment: np.ndarray
     errors: np.ndarray
     update_flags: np.ndarray
-    local_records: tuple[LocalRobustnessRecord, ...]
-    divergence_records: tuple[DivergenceMonitorRecord, ...]
+    max_abs_posterior: np.ndarray
+    local_records: Sequence[LocalRobustnessRecord]
+    divergence_records: Sequence[DivergenceMonitorRecord]
     global_report: GlobalRobustnessReport
     cv_relaxations: int = 0
 
@@ -156,6 +164,23 @@ class RunTrace:
     @property
     def update_rate(self) -> float:
         return float(self.update_flags.mean()) if self.update_flags.size else 0.0
+
+
+class _Records(Sequence):
+    """One record per step of a run, read-only; ``build(k)`` makes step ``k``'s when read."""
+
+    def __init__(self, size: int, build) -> None:
+        self._size, self._build = size, build
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, i):
+        steps = range(self._size)[i]  # an int, or a range for a slice
+        return tuple(map(self._build, steps)) if isinstance(i, slice) else self._build(steps)
+
+    def __eq__(self, other) -> bool:  # as the tuple of its records; a view on the right reflects
+        return tuple(self) == other if isinstance(other, (tuple, _Records)) else NotImplemented
 
 
 @dataclass(frozen=True, slots=True)
@@ -332,7 +357,7 @@ def run_single(
     misalignment[0] = wt_sq = float(w0 @ w0)
     priors = np.empty((K, L + 1))
     flags = np.zeros(K, dtype=bool)
-    local_records: list[LocalRobustnessRecord] = []
+    records: list[Optional[LocalRobustnessRecord]] = [None] * K  # updating steps' only
     peaks: list[float] = []  # max |posterior error| of each updating step
     relaxations = 0
     zero_cv = np.zeros(L + 1)
@@ -366,30 +391,39 @@ def run_single(
                 )
             flags[k] = updated = outcome.updated
             if updated:
-                record = local_check(w0, prev, state, window, cv, True, config.delta, k=k)
-                wt_sq = record.w_tilde_sq_after
+                records[k] = rec = local_check(w0, prev, state, window, cv, True, config.delta, k=k)
+                wt_sq = rec.w_tilde_sq_after
                 peaks.append(float(np.abs(outcome.posterior_errors).max()))
-            else:  # local_check's record of a quiet step: the misalignment carries over
-                record = LocalRobustnessRecord(k, False, wt_sq, wt_sq, 0.0, 0.0, NO_UPDATE,
-                                               0.0, wt_sq, 0.0, 0.0)
-            local_records.append(record)
-            misalignment[k + 1] = wt_sq
+            misalignment[k + 1] = wt_sq  # a quiet step carries it over
     except SmapError as err:
         raise SimulationError(f"iteration {k}: {err}") from err
-    report = global_accumulate(local_records, misalignment[0], misalignment[K])
+    report = global_accumulate(filter(None, records), misalignment[0], misalignment[K])
     # divergence_monitor's max |d - X.T w|, as the step took it; a quiet step's are its priors
     posterior = np.abs(priors).max(axis=1)
     posterior[flags] = peaks
+    misalignment.flags.writeable = posterior.flags.writeable = False  # the views read them
     return RunTrace(
         w0=w0,
         misalignment=misalignment,
         errors=priors[:, 0].copy(),
         update_flags=flags,
-        local_records=tuple(local_records),
-        divergence_records=tuple(map(DivergenceMonitorRecord, range(K), posterior.tolist())),
+        max_abs_posterior=posterior,
+        local_records=_Records(K, partial(_local_record, records, misalignment)),
+        divergence_records=_Records(K, partial(_monitor_record, posterior)),
         global_report=report,
         cv_relaxations=relaxations,
     )
+
+
+def _local_record(records: list, misalignment: np.ndarray, k: int) -> LocalRobustnessRecord:
+    """Step ``k``'s stored record, or at a quiet step the one ``local_check`` makes."""
+    m = float(misalignment[k + 1])  # a quiet step's misalignment, carried over
+    return records[k] or LocalRobustnessRecord(k, False, m, m, 0.0, 0.0, NO_UPDATE,
+                                               0.0, m, 0.0, 0.0)
+
+
+def _monitor_record(posterior: np.ndarray, k: int) -> DivergenceMonitorRecord:
+    return DivergenceMonitorRecord(k, float(posterior[k]))
 
 
 def run_monte_carlo(config: ScenarioConfig, algorithm: str, runs: int) -> MonteCarloSummary:

@@ -172,6 +172,9 @@ class TestRunCommand:
             (["run", "--noise-scale", "nan"], "noise-scale"),
             (["mc", "--noise-scale", "inf", "--algos", "smap:fixed,smap:noise"], "noise-scale"),
             *((argv, "snr-db") for argv in _WARM_OVERFLOW),
+            # sizes whose series no numpy array can hold
+            *(([command, f"--{flag}", str(10**30)], flag)
+              for command in ("run", "mc") for flag in ("iters", "taps")),
         ],
     )
     def test_rejected_value_names_its_flag(self, argv, flag, tmp_path, monkeypatch, capsys):

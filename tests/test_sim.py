@@ -1,6 +1,7 @@
 """Tests for signal generation and the experiment driver."""
 
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -18,7 +19,7 @@ from smap import sim
 from smap.constraints import custom_cv, fixed_cv, noise_cv, sc_cv, zero_cv
 from smap.errors import InvalidInputError, SimulationError, SmapError
 from smap.filters import DataWindow, ap_update, error_vector, smap_update
-from smap.robustness import divergence_monitor, local_check
+from smap.robustness import divergence_monitor, global_accumulate, local_check
 from smap.sim import (
     AP,
     SMAP,
@@ -90,6 +91,11 @@ class TestScenarioConfig:
             # numpy floats reach the power test as Python floats, so nothing warns first
             {"snr_db": np.float64(4000.0)},
             {"snr_db": 100.0, "noise_variance": np.float64(1e300)},
+            # sizes whose series no numpy array can hold: 8 bytes a sample
+            {"iterations": 10**30},
+            {"num_taps": 10**30},
+            {"iterations": 2**62},
+            {"iterations": 2**60 - sim._CAL_SAMPLES - 12},  # 2**63 bytes at 10 taps, reuse 2
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -127,6 +133,11 @@ class TestScenarioConfig:
         stored = [getattr(config, name) for name in names] + [config.cv_strategy.scale]
         assert [type(v) for v in stored] == [int] * 4 + [float] * 7
         assert stored == [4, 1, 50, 3, 0.5, 0.0, 0.01, 0.5, 20.0, 1.0, 0.5]
+
+    def test_largest_series_numpy_holds_is_accepted(self):
+        # 2**63 - 8 bytes: one sample fewer than the rejected size
+        config = ScenarioConfig(iterations=2**60 - sim._CAL_SAMPLES - 13)
+        assert config.iterations == 2**60 - 10_013
 
 
 class TestSignals:
@@ -489,6 +500,84 @@ class TestRunSingle:
         assert trace.divergence_records == tuple(monitored)
         misalignment = [float(trace.w0 @ trace.w0)] + [rec.w_tilde_sq_after for rec in local]
         npt.assert_array_equal(trace.misalignment, misalignment)
+
+    def test_record_views_read_as_the_replayed_tuples(self, monkeypatch):
+        # the trace keeps columns and the updating steps' records; each view
+        # reads as the tuple that replaying every step through the public
+        # checks builds, whichever way it is read
+        config = ScenarioConfig(iterations=200, seed=25)
+        trace, steps = _spied_run(monkeypatch, config, SMAP)
+        flags = trace.update_flags
+        local = tuple(
+            local_check(trace.w0, before, after, window, cv, bool(flags[k]), config.delta, k=k)
+            for k, (before, window, cv, after) in enumerate(steps)
+        )
+        monitored = tuple(
+            divergence_monitor(after, window, k=k) for k, (_, window, _, after) in enumerate(steps)
+        )
+        moved = int(np.flatnonzero(flags)[0])
+        quiet = moved + int(np.flatnonzero(~flags[moved:])[0])  # it carries a moved misalignment
+        for view, eager in ((trace.local_records, local), (trace.divergence_records, monitored)):
+            assert len(view) == len(eager) == 200
+            for i in (0, quiet, moved, -1, -200, np.int64(quiet), np.intp(-3)):
+                assert view[i] == eager[i]
+            for i in (200, -201):
+                with pytest.raises(IndexError):
+                    view[i]
+            for part in (slice(5, 60, 7), slice(None, None, -1), slice(190, 400), slice(9, 3)):
+                assert view[part] == eager[part] and type(view[part]) is tuple
+            assert list(view) == list(eager) and list(reversed(view)) == list(eager[::-1])
+            assert view == eager and eager == view and view == view and not view != eager
+            assert view != eager[:-1] and view != list(eager) and view != eager[1:] + eager[:1]
+            with pytest.raises(TypeError):
+                view[0] = eager[0]
+        assert trace.local_records[moved] is trace.local_records[moved]  # as local_check made it
+        for column in (trace.misalignment, trace.max_abs_posterior):  # the views read them
+            with pytest.raises(ValueError, match="read-only"):
+                column[quiet] = 0.0
+        # the benchmark's self-test swaps in a tuple of (edited) records
+        swapped = replace(trace, local_records=tuple(trace.local_records))
+        assert type(swapped.local_records) is tuple and swapped.local_records == local
+        assert swapped.divergence_records is trace.divergence_records
+        copied = pickle.loads(pickle.dumps(trace))
+        assert copied.local_records == local and copied.divergence_records == monitored
+        empty = run_single(ScenarioConfig(iterations=0, seed=1), SMAP, run_rng(1, 0))
+        for view in (empty.local_records, empty.divergence_records):
+            assert view == () and len(view) == 0 and list(view) == [] and view[:] == ()
+            with pytest.raises(IndexError):
+                view[0]
+
+    @pytest.mark.parametrize("delta", [0.0, 1e-12, 1e-3])
+    @pytest.mark.parametrize("num_taps,reuse", [(1, 0), (10, 2), (16, 9)])
+    @pytest.mark.parametrize("case", ["fixed", "sccv", "noise", "zero", "custom", "ap:0.9"])
+    def test_global_report_folds_every_record_of_the_view(self, case, num_taps, reuse, delta):
+        # run_single folds only the updating steps' records; a quiet step's
+        # adds nothing, so folding the whole view gives the same bits
+        kwargs = ENSEMBLE_CASES[case]
+        algorithm = AP if "ap_step" in kwargs else SMAP
+        config = ScenarioConfig(
+            iterations=150, num_taps=num_taps, reuse=reuse, delta=delta, seed=25, **kwargs
+        )
+        trace = run_single(config, algorithm, run_rng(config.seed, 0))
+        m = trace.misalignment
+        assert trace.global_report == global_accumulate(tuple(trace.local_records), m[0], m[-1])
+
+    def test_trace_keeps_columns_not_a_record_per_step(self):
+        # smap:sccv updates on about 8% of steps.  The columns (misalignment,
+        # errors, flags, max |posterior|, one record slot) take 33 B a step
+        # and an updating step's record about 350 B, so about 60 B a step in
+        # all; one frozen record per step, quiet steps included, took about 300.
+        config = ScenarioConfig(iterations=2000, seed=5, cv_strategy=sc_cv())
+        run_single(replace(config, iterations=50), SMAP, run_rng(5, 0))  # first-call caches
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            trace = run_single(config, SMAP, run_rng(5, 0))
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert 0.05 < trace.update_rate < 0.12
+        assert retained / config.iterations <= 100
 
 
 def _spied_run(monkeypatch, config, algorithm):

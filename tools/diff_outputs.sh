@@ -64,6 +64,8 @@ commands=(
     "run --snr-db nan"
     "run --delta -1"
     "run --noise-var inf"
+    "run --iters 10000 --seed 1000000"
+    "run --iters 1000000000000000000000000000000"
 )
 
 # run_all TREE OUT: every command against TREE's sources, outputs under OUT;
