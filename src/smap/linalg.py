@@ -6,9 +6,9 @@ formed.  Every solve, of one system or a stack, factors the regularized
 Gram matrix with LAPACK's ``dpotrf`` and solves with ``dpotrs``, one
 system at a time, so a system solved in a stack matches it solved alone
 to the bit, and the algorithm and its checks apply the same operator.
-These and ``sim``'s ``dgttrs`` are scipy's own wrappers, bound from the
-compiled module ``scipy.linalg._flapack`` loaded by file, which skips the
-cost of ``scipy.linalg``'s package init.
+These are scipy's own wrappers from ``scipy.linalg._flapack``, and ``sim``'s
+AR(1) input runs ``lfilter``'s loop ``scipy.signal._sigtools._linear_filter``;
+both compiled modules are loaded by file, skipping their packages' init.
 """
 
 from __future__ import annotations
@@ -24,19 +24,22 @@ from .errors import InvalidInputError, SingularSystemError
 __all__ = ["gram", "solve_spd"]
 
 
-def _lapack(*names: str) -> list:
-    """Bind ``names`` from ``scipy.linalg._flapack``, located without importing ``scipy``."""
-    directory = os.path.join(*util.find_spec("scipy").submodule_search_locations, "linalg")
+def _scipy(subpackage: str, name: str, *names: str) -> list:
+    """Bind ``names`` from scipy's compiled ``<subpackage>.<name>``, not importing scipy itself."""
+    if (scipy := util.find_spec("scipy")) is None:
+        raise ImportError("smap needs scipy, which cannot be imported", name="scipy")
+    directory = os.path.join(*scipy.submodule_search_locations, subpackage)
     loader = (machinery.ExtensionFileLoader, machinery.EXTENSION_SUFFIXES)
-    spec = machinery.FileFinder(directory, loader).find_spec("scipy.linalg._flapack")
+    spec = machinery.FileFinder(directory, loader).find_spec(f"scipy.{subpackage}.{name}")
     if spec is None:
-        raise ImportError(f"scipy's LAPACK wrapper _flapack is not in {directory}")
+        raise ImportError(f"scipy's compiled module {name} is not in {directory}")
     module = util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return [getattr(module, name) for name in names]
+    return [getattr(module, attr) for attr in names]
 
 
-dpotrf, dpotrs, dgttrs = _lapack("dpotrf", "dpotrs", "dgttrs")
+dpotrf, dpotrs = _scipy("linalg", "_flapack", "dpotrf", "dpotrs")
+(_linear_filter,) = _scipy("signal", "_sigtools", "_linear_filter")
 
 
 def gram(X: np.ndarray) -> np.ndarray:

@@ -29,7 +29,7 @@ from .constraints import (
 from .errors import SimulationError, SmapError, integer, real, require
 from .filters import DataWindow, FilterState, ap_update, error_vector, indicator, smap_update
 from .filters import _unchecked_window
-from .linalg import all_finite, dgttrs, solve_spd_stack
+from .linalg import _linear_filter, all_finite, solve_spd_stack
 from .robustness import (
     NO_UPDATE,
     DivergenceMonitorRecord,
@@ -227,13 +227,14 @@ def generate_signals(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Produce one run's input, reference and noise series.
 
-    The input is a first-order autoregression whose driving noise is
-    independent of the measurement noise.  Driving power starts from the
-    stationary-variance formula for the given system and is rescaled once
-    against a measured warm stretch, putting the clean reference power
-    ``snr_db`` above the noise floor.  The reference then applies the
-    unknown system to the run segment with zero initial state, matching
-    the zero-padded history the filter sees.  Both match ``lfilter`` to the bit.
+    The input is a first-order autoregression, run by ``lfilter``'s loop,
+    whose driving noise is independent of the measurement noise.  Driving
+    power starts from the stationary-variance formula for the given system;
+    the run segment alone is then rescaled once against the warm stretch
+    before it, putting the clean reference power ``snr_db`` above the noise
+    floor.  The reference applies the unknown system to that segment from
+    zero state, as the filter's zero-padded history does.  Both match
+    ``lfilter`` to the bit.
 
     Returns
     -------
@@ -246,6 +247,7 @@ def generate_signals(
         w0.shape == (config.num_taps,), "w0",
         f"system shape {w0.shape} does not match tap count {config.num_taps}",
     )
+    require(all_finite(w0), "w0", "system coefficients must be finite")
     a = config.ar_coefficient
     target = config.reference_power
     lags = np.arange(w0.size)
@@ -264,9 +266,9 @@ def generate_signals(
         math.isfinite(measured), "snr_db",
         f"a reference power of {target} overflows the warm stretch's measured variance",
     )
-    if measured > 0.0:
-        x_all = x_all * np.sqrt(target / measured)
     x = x_all[_CAL_SAMPLES:]
+    if measured > 0.0:
+        x = x * np.sqrt(target / measured)
     # zero initial state: the filter starts cold too
     clean = np.convolve(w0, x)[: x.size] if x.size else np.zeros(0)
     noise = rng.normal(0.0, float(np.sqrt(config.noise_variance)), config.iterations)
@@ -274,13 +276,8 @@ def generate_signals(
 
 
 def _ar1(u: np.ndarray, a: float) -> np.ndarray:
-    """AR(1) from rest by ``dgttrs``, which rounds as ``lfilter``; BLAS banded solves fuse FMAs."""
-    n = u.size
-    ipiv = np.arange(1, n + 1, dtype=np.int32)  # no row swaps
-    y, info = dgttrs(np.full(n - 1, -a), np.ones(n), np.zeros(n - 1), np.zeros(n - 2), ipiv, u)
-    if info:
-        raise SimulationError(f"AR(1) solve failed (info={info})")
-    return y
+    """AR(1) from rest, ``y[k] = u[k] + a y[k-1]``, by the compiled loop ``lfilter`` runs."""
+    return _linear_filter(np.ones(1), np.array([1.0, -a]), u, -1)
 
 
 def run_rng(seed: int, run_index: int) -> np.random.Generator:

@@ -233,25 +233,46 @@ def test_stacked_factor_rejects_indefinite_member(rng):
         npt.assert_array_equal(sols[i], solve_spd(G[i], b[i]))
 
 
+def _run_python(code):
+    """Run ``code`` in a fresh interpreter that imports smap from this checkout."""
+    src = os.path.dirname(os.path.dirname(smap.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
+    )
+
+
 @pytest.mark.parametrize("first", ["smap", "scipy"])
 def test_lapack_routines_are_scipys_own(first):
-    # smap loads scipy's compiled LAPACK module by file; in either import
-    # order its routines must be the very objects scipy.linalg.lapack exports
-    order = ["import smap.linalg, smap.sim", "import scipy.linalg.lapack as lapack"]
+    # smap loads scipy's compiled LAPACK and signal modules by file; in either
+    # import order its routines must be the very objects scipy exports
+    order = [
+        "import smap.linalg, smap.sim",
+        "import scipy.linalg.lapack as lapack, scipy.signal._sigtools as sigtools",
+    ]
     if first == "scipy":
         order.reverse()
     check = (
         "print(smap.linalg.dpotrf is lapack.dpotrf, smap.linalg.dpotrs is lapack.dpotrs,"
-        " smap.sim.dgttrs is lapack.dgttrs)"
+        " smap.sim._linear_filter is sigtools._linear_filter)"
     )
-    src = os.path.dirname(os.path.dirname(smap.__file__))
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    result = subprocess.run(
-        [sys.executable, "-c", "; ".join(order + [check])],
-        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
-    )
+    result = _run_python("; ".join(order + [check]))
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["True", "True", "True"]
+
+
+def test_import_without_scipy_raises_an_import_error_naming_scipy():
+    # the compiled modules are found through scipy's package spec, which
+    # is None when scipy cannot be imported
+    result = _run_python(
+        "import sys; sys.modules['scipy'] = None\n"
+        "try:\n    import smap\n"
+        "except ImportError as err:\n    print(type(err).__name__, err.name, err)"
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split()[:2] == ["ImportError", "scipy"]
+    assert "scipy" in result.stdout.split(maxsplit=2)[2]
 
 
 @pytest.mark.parametrize("delta", [1e-12, 0.5])

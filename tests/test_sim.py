@@ -207,6 +207,16 @@ class TestSignals:
             generate_signals(config, np.zeros(3), np.random.default_rng(0))
         assert exc.value.field == "w0"
 
+    @pytest.mark.parametrize(
+        "w0", [[1.0, np.nan, 0.0], [np.inf, 0.0, 0.0], [0.0, 0.0, -np.inf]]
+    )
+    def test_non_finite_system_rejected(self, w0):
+        # checked before the calibration, where a NaN would read as an
+        # snr_db overflow and an infinity warn in the variance product
+        with pytest.raises(InvalidInputError) as exc:
+            generate_signals(ScenarioConfig(num_taps=3), np.array(w0), np.random.default_rng(0))
+        assert exc.value.field == "w0"
+
     @pytest.mark.parametrize("a", [0.95, -0.95, 0.5, 0.9999, -0.3, 0.0])
     @pytest.mark.parametrize("n", [1, 10, 257, 1024])
     def test_stationary_correlation_gather_matches_power_matrix(self, a, n):
@@ -238,7 +248,7 @@ class TestSignals:
     @pytest.mark.parametrize(
         "a", [0.0, -0.0, 0.5, -0.5, 0.95, -0.95, 0.9999, -0.9999, "random"]
     )
-    @pytest.mark.parametrize("n", [3, 10, 11_000])
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 11_000])
     @pytest.mark.parametrize("scale", [1e-4, 1.0, 1e4])
     def test_ar1_matches_lfilter_to_the_bit(self, a, n, scale):
         rng = np.random.default_rng(n)
@@ -270,17 +280,24 @@ class TestSignals:
     def test_import_does_not_load_scipy_signal(self):
         # scipy.signal and scipy.linalg's package init (which pulls in
         # numpy.f2py and numpy.testing) cost most of the start-up time and
-        # tens of MB, and the library needs only three LAPACK routines
+        # tens of MB, and the library needs only two LAPACK routines and
+        # lfilter's compiled loop, from two compiled modules
         src = os.path.dirname(os.path.dirname(sim.__file__))
         path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         heavy = ["scipy.signal", "scipy.linalg", "numpy.f2py", "numpy.testing"]
-        code = f"import sys, smap, smap.cli; print([m for m in {heavy!r} if m in sys.modules])"
+        code = (
+            "import sys, smap, smap.cli\n"
+            f"print([m for m in {heavy!r} if m in sys.modules])\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
         result = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
             env={**os.environ, "PYTHONPATH": path},
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "[]"
+        assert result.stdout.splitlines() == [
+            "[]", "['scipy.linalg._flapack', 'scipy.signal._sigtools']"
+        ]
 
 
 def _lfilter_signals(config, w0, rng):

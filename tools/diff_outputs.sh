@@ -10,8 +10,9 @@
 # under -W error::RuntimeWarning, as the test suite does, so a command that
 # starts to warn shows up as a difference.  Exits nonzero on any difference.
 # The directory is removed on exit.  The commands are those whose digests
-# tests/test_golden.py pins, a few more, and some the library rejects, whose
-# usage errors are then compared too.
+# tests/test_golden.py pins, a few more (among them the first chunk of each
+# perfbench workload), and some the library rejects, whose usage errors are
+# then compared too.
 set -euo pipefail
 
 rev=${1:?usage: tools/diff_outputs.sh REV}
@@ -66,6 +67,8 @@ commands=(
     "run --noise-var inf"
     "run --iters 10000 --seed 1000000"
     "run --iters 1000000000000000000000000000000"
+    "mc --iters 1000 --runs 8 --algos smap:sccv --seed 1000000"
+    "mc --iters 1000 --runs 2 --algos smap:fixed,ap:0.9 --seed 1000000"
 )
 
 # run_all TREE OUT: every command against TREE's sources, outputs under OUT;
