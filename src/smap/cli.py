@@ -16,6 +16,7 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass, fields, replace
+from functools import partial
 from itertools import chain, count
 from pathlib import Path
 from typing import Optional, get_type_hints
@@ -46,6 +47,7 @@ TRACE_HEADER = [
 
 _CV_CHOICES = tuple(kind for kind in KINDS if kind != CUSTOM)
 _VERIFY_TOL = 1e-8
+_BLOCK_ROWS = 2048  # table rows formatted and written at a time
 
 # (flag, ScenarioConfig field, help) for the `run`/`mc` flags that set one
 # field each.  Types and defaults come from the dataclass, and the summary
@@ -131,15 +133,31 @@ def _atomic_write(path: Path, chunks) -> None:
         raise
 
 
-def _write_outputs(out_dir: Path, table: str, header: list[str], rows, lines) -> tuple[Path, Path]:
+def _check_out_dir(out_dir: Path) -> None:
+    """Reject an ``out_dir`` that names a file, a dangling link, or a path under one;
+    create nothing."""
+    existing = next(p for p in (out_dir, *out_dir.parents) if os.path.lexists(p))
+    require(
+        existing.is_dir(), "out_dir",
+        f"cannot write into {str(out_dir)!r}: {str(existing)!r} is not a directory",
+    )
+
+
+def _write_outputs(
+    out_dir: Path, table: str, header: list[str], size: int, rows, lines
+) -> tuple[Path, Path]:
     """Write ``table`` and ``summary.txt`` into ``out_dir``; return both paths.  The
-    header goes through ``csv``, as a label can need quoting; each row of formatted
-    numbers, which need none, is joined by commas as it is written."""
+    header goes through ``csv``, as a label can need quoting.  ``rows(start, stop)``
+    gives the table's rows ``start`` to ``stop - 1`` as formatted numbers, which need
+    no quoting; they are asked for ``_BLOCK_ROWS`` at a time and joined by commas as
+    they are written, so the text in memory is one block's, whatever ``size`` is."""
     out_dir.mkdir(parents=True, exist_ok=True)
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow(header)
+    blocks = (rows(i, min(i + _BLOCK_ROWS, size)) for i in range(0, size, _BLOCK_ROWS))
+    text = (",".join(row) + "\n" for row in chain.from_iterable(blocks))
     table_path, summary_path = out_dir / table, out_dir / "summary.txt"
-    _atomic_write(table_path, chain([buf.getvalue()], (",".join(row) + "\n" for row in rows)))
+    _atomic_write(table_path, chain([buf.getvalue()], text))
     _atomic_write(summary_path, ["\n".join(lines) + "\n"])
     return table_path, summary_path
 
@@ -171,24 +189,29 @@ def write_run_outputs(
         f"cv-relaxations: {trace.cv_relaxations}",
         f"global-energy-ratio: {_fmt(report.ratio)}",
         f"final-misalignment: {_fmt(trace.misalignment[-1])}",
-        f"steady-state-mse-db: {_fmt(steady_state_db(trace.squared_error))}",
+        f"steady-state-mse-db: {_fmt(steady_state_db(trace.errors, square=True))}",
     ]
-    rows = _run_rows(trace)
-    trace_path, summary_path = _write_outputs(out_dir, "trace.csv", TRACE_HEADER, rows, lines)
+    trace_path, summary_path = _write_outputs(
+        out_dir, "trace.csv", TRACE_HEADER, trace.errors.size, partial(_run_rows, trace), lines
+    )
     return OutputBundle(trace_csv_path=trace_path, summary_text_path=summary_path)
 
 
-def _run_rows(trace: RunTrace):
-    """Yield the rows of ``trace.csv``.  A quiet step's record holds the unchanged
-    misalignment in both sums and zeros in both terms (see ``local_check``), so only
-    the updating steps' records are read."""
-    moved = [trace.local_records[k] for k in np.flatnonzero(trace.update_flags).tolist()]
+def _run_rows(trace: RunTrace, start: int, stop: int):
+    """Yield rows ``start`` to ``stop - 1`` of ``trace.csv``.  A quiet step's record
+    holds the unchanged misalignment in both sums and zeros in both terms (see
+    ``local_check``), so only the updating steps' records are read.  A quiet row
+    repeats the misalignment before its step: the last updating row's, which
+    ``trace.misalignment`` carries over to the start of the block."""
+    steps = slice(start, stop)
+    flags = trace.update_flags[steps]
+    moved = [trace.local_records[k] for k in (np.flatnonzero(flags) + start).tolist()]
     terms = [(rec.g1, rec.g2, rec.lhs, rec.rhs, rec.w_tilde_sq_after) for rec in moved]
     updates = zip(*map(_column, np.reshape(terms, (-1, 5)).T), [r.classification for r in moved])
-    mis = _fmt(trace.misalignment[0])
-    posterior = _column(trace.max_abs_posterior)
-    flags = trace.update_flags.tolist()
-    for k, e, updated, post in zip(count(), _column(trace.errors), flags, posterior):
+    mis = _fmt(trace.misalignment[start])
+    posterior = _column(trace.max_abs_posterior[steps])
+    errors = _column(trace.errors[steps])
+    for k, e, updated, post in zip(count(start), errors, flags.tolist(), posterior):
         if updated:
             g1, g2, lhs, rhs, mis, label = next(updates)
             yield str(k), e, "1", g1, g2, label, lhs, rhs, mis, post
@@ -207,8 +230,7 @@ def write_mc_outputs(
         len(lengths) == 1, "results",
         f"results must hold one or more curves of one length, got lengths {sorted(lengths)}",
     )
-    iters = lengths.pop()
-    rows = zip(map(str, range(iters)), *(_column(s.mse_curve) for *_, s in results))
+    curves = [s.mse_curve for *_, s in results]
     lines = ["command: mc", f"runs: {runs}"]
     for label, config, algorithm, summary in results:
         lines.append("")
@@ -221,8 +243,15 @@ def write_mc_outputs(
             f"steady-state-mse-db: {_fmt(summary.steady_state_mse_db)}",
         ]
     header = ["k"] + [label for label, *_ in results]
-    mse_path, summary_path = _write_outputs(out_dir, "mse.csv", header, rows, lines)
+    mse_path, summary_path = _write_outputs(
+        out_dir, "mse.csv", header, lengths.pop(), partial(_mse_rows, curves), lines
+    )
     return OutputBundle(mse_csv_path=mse_path, summary_text_path=summary_path)
+
+
+def _mse_rows(curves: list[np.ndarray], start: int, stop: int):
+    """Rows ``start`` to ``stop - 1`` of ``mse.csv``: the step, then each curve's point."""
+    return zip(map(str, range(start, stop)), *(_column(c[start:stop]) for c in curves))
 
 
 def verify_update_against_kkt(
@@ -345,6 +374,7 @@ def _scenario_from_args(args: argparse.Namespace) -> ScenarioConfig:
 def cmd_run(args: argparse.Namespace) -> int:
     algorithm = AP if args.ap_step is not None else SMAP
     config = _scenario_from_args(args)
+    _check_out_dir(args.out_dir)  # before the run, which a bad --out-dir would waste
     trace = run_single(config, algorithm, run_rng(config.seed, args.run_index))
     bundle = write_run_outputs(trace, config, algorithm, args.out_dir, args.run_index)
     updates = int(trace.update_flags.sum())
@@ -378,6 +408,7 @@ def cmd_mc(args: argparse.Namespace) -> int:
     base = _scenario_from_args(args)
     # every token is checked before the first ensemble runs
     plan = [(token, *_parse_algo_token(token, base)) for token in tokens]
+    _check_out_dir(args.out_dir)
     results = []
     for token, algorithm, config in plan:
         summary = run_monte_carlo(config, algorithm, args.runs)

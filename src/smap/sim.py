@@ -395,14 +395,15 @@ def run_single(
     except SmapError as err:
         raise SimulationError(f"iteration {k}: {err}") from err
     report = global_accumulate(filter(None, records), misalignment[0], misalignment[K])
+    errors = priors[:, 0].copy()
     # divergence_monitor's max |d - X.T w|, as the step took it; a quiet step's are its priors
-    posterior = np.abs(priors).max(axis=1)
+    posterior = np.abs(priors, out=priors).max(axis=1)
     posterior[flags] = peaks
     misalignment.flags.writeable = posterior.flags.writeable = False  # the views read them
     return RunTrace(
         w0=w0,
         misalignment=misalignment,
-        errors=priors[:, 0].copy(),
+        errors=errors,
         update_flags=flags,
         max_abs_posterior=posterior,
         local_records=_Records(K, partial(_local_record, records, misalignment)),
@@ -661,10 +662,11 @@ def _replay(config: ScenarioConfig, algorithm: str, run: int, step: int) -> NoRe
     raise SimulationError(f"{where}: failed at iteration {step}, but its replay did not fail")
 
 
-def steady_state_db(mse_curve: np.ndarray) -> float:
-    """Mean of the final fifth of the curve, at least its last point, in dB."""
+def steady_state_db(mse_curve: np.ndarray, square: bool = False) -> float:
+    """Mean of the final fifth of the curve, at least its last point, in dB.  With
+    ``square`` the curve holds errors, and only that fifth of them is squared."""
     curve = np.asarray(mse_curve, dtype=float)
     if curve.size == 0:
         return float("nan")
     tail = curve[-max(1, int(curve.size * 0.2)) :]
-    return float(10.0 * np.log10(tail.mean()))
+    return float(10.0 * np.log10((tail**2 if square else tail).mean()))

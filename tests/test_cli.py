@@ -2,18 +2,29 @@
 
 import csv
 import re
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from smap import filters, sim
-from smap.cli import TRACE_HEADER, main, verify_update_against_kkt, write_mc_outputs
+from smap import cli, filters, sim
+from smap.cli import (
+    TRACE_HEADER,
+    main,
+    verify_update_against_kkt,
+    write_mc_outputs,
+    write_run_outputs,
+)
+from smap.constraints import ConstraintStrategy
 from smap.errors import InvalidInputError
 from smap.filters import FilterState
 from smap.robustness import CONTRACT, EXPAND, NO_UPDATE, PRESERVE
 from smap.sim import (
+    AP,
     SMAP,
+    MonteCarloSummary,
     ScenarioConfig,
     generate_signals,
     run_monte_carlo,
@@ -198,6 +209,45 @@ class TestRunCommand:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "error: argument --noise-var: noise variance must be positive" in err
+
+
+class TestOutDir:
+    @pytest.mark.parametrize("under", ["", "sub"])
+    @pytest.mark.parametrize("link", [False, True])
+    @pytest.mark.parametrize(
+        "argv", [["run", "--iters", "10"], ["mc", "--iters", "10", "--runs", "1"]]
+    )
+    def test_a_path_no_directory_can_take_fails_before_the_run(
+        self, argv, link, under, tmp_path, monkeypatch, capsys
+    ):
+        # a file, a dangling link, or a path under one, once failed with a
+        # traceback after the whole run
+        def never(*args):
+            pytest.fail("ran with an --out-dir that cannot be written into")
+
+        monkeypatch.setattr(cli, "run_single", never)
+        monkeypatch.setattr(cli, "run_monte_carlo", never)
+        taken = tmp_path / "taken"
+        if link:
+            taken.symlink_to(tmp_path / "nowhere")
+        else:
+            taken.write_text("a file")
+        out_dir = taken / under
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out-dir", str(out_dir)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            f"smap {argv[0]}: error: argument --out-dir: "
+            f"cannot write into {str(out_dir)!r}: {str(taken)!r} is not a directory"
+        )
+        assert list(tmp_path.iterdir()) == [taken]
+
+    def test_missing_directories_are_created(self, tmp_path, capsys):
+        out_dir = tmp_path / "a" / "b"
+        assert main(["run", "--iters", "10", "--out-dir", str(out_dir)]) == 0
+        assert sorted(p.name for p in out_dir.iterdir()) == ["summary.txt", "trace.csv"]
 
 
 class TestConfigFile:
@@ -413,3 +463,107 @@ class TestVerifyCommand:
         with pytest.raises(InvalidInputError) as exc:
             verify_update_against_kkt(*counts, seed=0)
         assert exc.value.field == field
+
+
+# (algorithm, ScenarioConfig fields) of the runs whose tables are written a block at a time
+_BLOCK_CASES = {
+    "smap:fixed": (SMAP, {"seed": 4}),
+    "smap:sccv": (SMAP, {"cv_strategy": ConstraintStrategy("sccv"), "seed": 3}),
+    "smap:noise": (SMAP, {"cv_strategy": ConstraintStrategy("noise", 0.5), "seed": 5}),
+    "ap:0.5": (AP, {"ap_step": 0.5}),
+    "reuse 0": (SMAP, {"reuse": 0, "num_taps": 4, "seed": 6}),
+}
+
+
+def _bytes_at_block_sizes(write, tmp_path, monkeypatch, sizes=(1, 7)) -> list[dict]:
+    """The files ``write(out_dir)`` makes at the default block size, then at each of ``sizes``."""
+    outputs = []
+    for rows in (cli._BLOCK_ROWS, *sizes):
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", rows)
+        out_dir = tmp_path / str(rows)
+        write(out_dir)
+        outputs.append({p.name: p.read_bytes() for p in out_dir.iterdir()})
+    return outputs
+
+
+class TestBlocks:
+    """Tables are formatted and written a block of rows at a time; no byte depends on the
+    block size, across block edges too, where a quiet row repeats the misalignment of the
+    last updating row before it."""
+
+    @pytest.mark.parametrize("iterations", [0, 1, 7, 8, 2 * cli._BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("case", list(_BLOCK_CASES))
+    def test_trace_bytes_do_not_depend_on_the_block_size(
+        self, case, iterations, tmp_path, monkeypatch
+    ):
+        algorithm, fields = _BLOCK_CASES[case]
+        config = ScenarioConfig(iterations=iterations, **fields)
+        trace = run_single(config, algorithm, run_rng(config.seed, 0))
+        default, *small = _bytes_at_block_sizes(
+            lambda out_dir: write_run_outputs(trace, config, algorithm, out_dir),
+            tmp_path, monkeypatch,
+        )
+        assert sorted(default) == ["summary.txt", "trace.csv"]
+        assert default["trace.csv"].count(b"\n") == iterations + 1
+        assert small == [default, default]
+
+    def test_a_block_may_open_on_the_first_update(self, tmp_path, monkeypatch):
+        # quiet rows fill the first block; the second opens on the first update
+        config = ScenarioConfig(iterations=300, gamma_bar=1.0, seed=5)
+        trace = run_single(config, SMAP, run_rng(config.seed, 0))
+        first = int(np.flatnonzero(trace.update_flags)[0])
+        assert 1 < first < 150
+        default, at_first = _bytes_at_block_sizes(
+            lambda out_dir: write_run_outputs(trace, config, SMAP, out_dir),
+            tmp_path, monkeypatch, sizes=(first,),
+        )
+        assert at_first == default
+
+    @pytest.mark.parametrize("iterations", [0, 1, 7, 8, 2 * cli._BLOCK_ROWS + 1])
+    def test_mse_bytes_do_not_depend_on_the_block_size(self, iterations, tmp_path, monkeypatch):
+        config = ScenarioConfig(iterations=iterations, seed=3)
+        results = [
+            (label, c, algorithm, run_monte_carlo(c, algorithm, 2))
+            for label, algorithm, c in (
+                ("smap:fixed", SMAP, config), ("ap:0.9", AP, replace(config, ap_step=0.9))
+            )
+        ]
+        default, *small = _bytes_at_block_sizes(
+            lambda out_dir: write_mc_outputs(results, 2, out_dir), tmp_path, monkeypatch
+        )
+        assert default["mse.csv"].count(b"\n") == iterations + 1
+        assert small == [default, default]
+
+
+def _write_peak(write) -> int:
+    """Peak bytes that tracemalloc sees while ``write()`` runs."""
+    tracemalloc.start()
+    try:
+        write()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWriterMemory:
+    """A writer holds one block's text at a time, so its peak does not grow with the table."""
+
+    GROWTH = 250_000  # bytes; formatting whole columns first adds ≈ 4 MB from 4k to 16k rows
+
+    def test_run_writer(self, tmp_path):
+        peaks = []
+        for iterations in (50, 4000, 16000):  # the first only warms the writer up
+            config = ScenarioConfig(iterations=iterations, seed=1)
+            trace = run_single(config, SMAP, run_rng(config.seed, 0))  # before tracing starts
+            peaks.append(_write_peak(lambda: write_run_outputs(trace, config, SMAP, tmp_path)))
+        assert peaks[2] - peaks[1] < self.GROWTH
+
+    def test_mc_writer(self, tmp_path):
+        rng = np.random.default_rng(0)
+        peaks = []
+        for iterations in (50, 4000, 16000):
+            config = ScenarioConfig(iterations=iterations)
+            summary = MonteCarloSummary(rng.random(iterations), *np.zeros((3, 1)))
+            results = [(label, config, SMAP, summary) for label in ("a", "b")]
+            peaks.append(_write_peak(lambda: write_mc_outputs(results, 1, tmp_path)))
+        assert peaks[2] - peaks[1] < self.GROWTH

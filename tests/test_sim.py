@@ -1089,3 +1089,8 @@ class TestSteadyState:
     def test_tail_is_the_last_fifth(self):
         curve = np.random.default_rng(3).uniform(0.5, 2.0, 100)
         assert steady_state_db(curve) == float(10.0 * np.log10(curve[-20:].mean()))
+
+    @pytest.mark.parametrize("size", [0, 1, 4, 5, 99, 1001])
+    def test_square_squares_only_the_tail_to_the_same_bits(self, size):
+        errors = np.random.default_rng(size).standard_normal(size)
+        npt.assert_equal(steady_state_db(errors, square=True), steady_state_db(errors**2))
