@@ -26,7 +26,7 @@ import numpy as np
 from . import filters, robustness
 from .constrained_ls import ConstrainedLSProblem, solve_constrained
 from .constraints import CUSTOM, KINDS, NOISE, ConstraintStrategy
-from .errors import InvalidInputError, SmapError, integer, require
+from .errors import InvalidInputError, SmapError, fits_array, integer, require
 from .filters import DataWindow, FilterState
 from .sim import (
     AP,
@@ -200,20 +200,18 @@ def write_run_outputs(
 def _run_rows(trace: RunTrace, start: int, stop: int):
     """Yield rows ``start`` to ``stop - 1`` of ``trace.csv``.  A quiet step's record
     holds the unchanged misalignment in both sums and zeros in both terms (see
-    ``local_check``), so only the updating steps' records are read.  A quiet row
-    repeats the misalignment before its step: the last updating row's, which
-    ``trace.misalignment`` carries over to the start of the block."""
+    ``local_check``), so only the updating steps' records are read.  Every row's
+    misalignment after its step is read from ``trace.misalignment``."""
     steps = slice(start, stop)
     flags = trace.update_flags[steps]
     moved = [trace.local_records[k] for k in (np.flatnonzero(flags) + start).tolist()]
-    terms = [(rec.g1, rec.g2, rec.lhs, rec.rhs, rec.w_tilde_sq_after) for rec in moved]
-    updates = zip(*map(_column, np.reshape(terms, (-1, 5)).T), [r.classification for r in moved])
-    mis = _fmt(trace.misalignment[start])
-    posterior = _column(trace.max_abs_posterior[steps])
-    errors = _column(trace.errors[steps])
-    for k, e, updated, post in zip(count(start), errors, flags.tolist(), posterior):
+    terms = [(rec.g1, rec.g2, rec.lhs, rec.rhs) for rec in moved]
+    updates = zip(*map(_column, np.reshape(terms, (-1, 4)).T), [r.classification for r in moved])
+    errors, posterior = _column(trace.errors[steps]), _column(trace.max_abs_posterior[steps])
+    after = _column(trace.misalignment[start + 1 : stop + 1])  # each step's misalignment after it
+    for k, e, updated, mis, post in zip(count(start), errors, flags.tolist(), after, posterior):
         if updated:
-            g1, g2, lhs, rhs, mis, label = next(updates)
+            g1, g2, lhs, rhs, label = next(updates)
             yield str(k), e, "1", g1, g2, label, lhs, rhs, mis, post
         else:
             yield str(k), e, "0", mis, mis, robustness.NO_UPDATE, "0.0", "0.0", mis, post
@@ -272,6 +270,8 @@ def verify_update_against_kkt(
         max_reuse < num_taps, "max_reuse",
         f"largest reuse factor must lie in [0, {num_taps - 1}], got {max_reuse}",
     )
+    size = num_taps * (max_reuse + 1)  # the widest window's values
+    fits_array(size, "num_taps", f"the widest window's {size} values")
     rng = np.random.default_rng(integer(seed, "seed"))
     gaps = []  # (coefficient gap, posterior gap, relative residual) per instance
     while len(gaps) < instances:

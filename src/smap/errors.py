@@ -3,6 +3,7 @@
 import math
 import numbers
 import operator
+import sys
 
 __all__ = [
     "SmapError",
@@ -61,6 +62,13 @@ def integer(value, field: str, low: int = 0) -> int:
         ok = False
     require(ok, field, f"{field} must be an integer >= {low}, got {value!r}")
     return value
+
+
+def fits_array(count: int, field: str, what: str) -> int:
+    """Return ``count`` if one numpy array, at most ``sys.maxsize`` bytes, holds that many
+    float64 values; else raise naming ``field``.  ``what`` names the values, with their count."""
+    require(8 * count <= sys.maxsize, field, f"{what} exceed the largest array numpy can hold")
+    return count
 
 
 def real(value, field: str) -> float:

@@ -26,7 +26,7 @@ from .constraints import (
     make_cv,
     satisfies_bound,
 )
-from .errors import SimulationError, SmapError, integer, real, require
+from .errors import SimulationError, SmapError, fits_array, integer, real, require
 from .filters import DataWindow, FilterState, ap_update, error_vector, indicator, smap_update
 from .filters import _unchecked_window
 from .linalg import _linear_filter, all_finite, solve_spd_stack
@@ -102,8 +102,7 @@ class ScenarioConfig:
         )
         samples = _CAL_SAMPLES + self.iterations + self.num_taps + self.reuse
         huge = "iterations" if self.iterations >= self.num_taps else "num_taps"
-        require(8 * samples <= np.iinfo(np.intp).max, huge,  # numpy's largest array, in bytes
-                f"a run's {samples} float64 samples exceed the largest array numpy can hold")
+        fits_array(samples, huge, f"a run's {samples} float64 samples")
         check_threshold(self.gamma_bar)
         require(
             0.0 <= self.delta < math.inf, "delta",  # nan fails both comparisons
@@ -219,7 +218,8 @@ class MonteCarloSummary:
 
 def generate_system(num_taps: int, rng: np.random.Generator) -> np.ndarray:
     """Draw the unknown system: i.i.d. standard-normal coefficients."""
-    return rng.standard_normal(integer(num_taps, "num_taps", 1))
+    num_taps = integer(num_taps, "num_taps", 1)
+    return rng.standard_normal(fits_array(num_taps, "num_taps", f"{num_taps} taps"))
 
 
 def generate_signals(
@@ -352,10 +352,10 @@ def run_single(
     state = FilterState.zeros(config.num_taps)
     misalignment = np.empty(K + 1)
     misalignment[0] = wt_sq = float(w0 @ w0)
-    priors = np.empty((K, L + 1))
+    errors = np.empty(K)
+    posterior = np.empty((K, L + 1))  # each step's posterior errors, as the step returned them
     flags = np.zeros(K, dtype=bool)
     records: list[Optional[LocalRobustnessRecord]] = [None] * K  # updating steps' only
-    peaks: list[float] = []  # max |posterior error| of each updating step
     relaxations = 0
     zero_cv = np.zeros(L + 1)
     lag = np.arange(L + 1)
@@ -366,7 +366,8 @@ def run_single(
             make = _unchecked_window if k < bad else DataWindow
             window = make(inputs[s : s + L + 1].T, d[s : s + L + 1], n[s : s + L + 1])
             prev = state
-            priors[k] = e = error_vector(prev, window)
+            e = error_vector(prev, window)
+            errors[k] = e[0]
             if algorithm == AP:  # the SM-AP move toward (1 - mu) e; padded lags of e are 0
                 cv = (1.0 - config.ap_step) * e
                 state, outcome = ap_update(prev, window, config.ap_step, config.delta, prior=e)
@@ -387,18 +388,15 @@ def run_single(
                     enforce_cv_bound=not relaxed and cv is not zero_cv, prior=e,
                 )
             flags[k] = updated = outcome.updated
+            posterior[k] = outcome.posterior_errors
             if updated:
                 records[k] = rec = local_check(w0, prev, state, window, cv, True, config.delta, k=k)
                 wt_sq = rec.w_tilde_sq_after
-                peaks.append(float(np.abs(outcome.posterior_errors).max()))
             misalignment[k + 1] = wt_sq  # a quiet step carries it over
     except SmapError as err:
         raise SimulationError(f"iteration {k}: {err}") from err
     report = global_accumulate(filter(None, records), misalignment[0], misalignment[K])
-    errors = priors[:, 0].copy()
-    # divergence_monitor's max |d - X.T w|, as the step took it; a quiet step's are its priors
-    posterior = np.abs(priors, out=priors).max(axis=1)
-    posterior[flags] = peaks
+    posterior = np.abs(posterior, out=posterior).max(axis=1)  # divergence_monitor's max |d - X.T w|
     misalignment.flags.writeable = posterior.flags.writeable = False  # the views read them
     return RunTrace(
         w0=w0,
@@ -467,6 +465,7 @@ def run_monte_carlo(config: ScenarioConfig, algorithm: str, runs: int) -> MonteC
     """
     _check_algorithm(config, algorithm)
     runs = integer(runs, "runs", 1)
+    fits_array(3 * runs, "runs", f"the counts of {runs} runs")  # as counts below holds them
     K = config.iterations
     mse = np.zeros(K)
     counts = np.zeros((3, runs))  # updates, expanding steps, relaxations per run

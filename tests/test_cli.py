@@ -186,6 +186,9 @@ class TestRunCommand:
             # sizes whose series no numpy array can hold
             *(([command, f"--{flag}", str(10**30)], flag)
               for command in ("run", "mc") for flag in ("iters", "taps")),
+            # counts no numpy array can hold
+            (["mc", "--iters", "10", "--runs", str(10**30)], "runs"),
+            (["verify", "--taps", str(10**30)], "taps"),
         ],
     )
     def test_rejected_value_names_its_flag(self, argv, flag, tmp_path, monkeypatch, capsys):
@@ -464,6 +467,13 @@ class TestVerifyCommand:
             verify_update_against_kkt(*counts, seed=0)
         assert exc.value.field == field
 
+    @pytest.mark.parametrize("num_taps", [10**30, 2**60])
+    def test_library_entry_point_rejects_windows_no_numpy_array_holds(self, num_taps):
+        # 2**60 taps overflow the window's byte count, 10**30 its length
+        with pytest.raises(InvalidInputError, match="largest array numpy can hold") as exc:
+            verify_update_against_kkt(1, num_taps, 0, 0)
+        assert exc.value.field == "num_taps"
+
 
 # (algorithm, ScenarioConfig fields) of the runs whose tables are written a block at a time
 _BLOCK_CASES = {
@@ -488,8 +498,8 @@ def _bytes_at_block_sizes(write, tmp_path, monkeypatch, sizes=(1, 7)) -> list[di
 
 class TestBlocks:
     """Tables are formatted and written a block of rows at a time; no byte depends on the
-    block size, across block edges too, where a quiet row repeats the misalignment of the
-    last updating row before it."""
+    block size, across block edges too, where every row reads its misalignment from the
+    trace's column and a block may open on quiet rows."""
 
     @pytest.mark.parametrize("iterations", [0, 1, 7, 8, 2 * cli._BLOCK_ROWS + 1])
     @pytest.mark.parametrize("case", list(_BLOCK_CASES))

@@ -4,8 +4,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from smap import robustness
 from smap.errors import DegenerateDenominatorError, InvalidInputError
 from smap.filters import DataWindow, FilterState, error_vector, indicator, smap_update
+from smap.linalg import gram, solve_spd
 from smap.robustness import (
     CONTRACT,
     EXPAND,
@@ -82,6 +84,47 @@ def test_scaled_noise_target_trichotomy(rng, make_instance, scale, expected):
     assert rec.classification == expected
     # the stacked rule that ensembles use draws the same tie band
     assert expands(np.array([rec.lhs]), np.array([rec.rhs])).tolist() == [expected == EXPAND]
+
+
+@pytest.mark.parametrize("rhs", [-3.0, 1e-3, 1.0, 7.5, 1e6])
+@pytest.mark.parametrize(
+    "f,expected", [(1e-10, EXPAND), (-1e-10, CONTRACT), (1e-13, PRESERVE), (-1e-13, PRESERVE)]
+)
+def test_tie_band_is_a_trillionth_of_max_one_rhs(rhs, f, expected):
+    # the band's half-width is PRESERVE_RTOL * max(1, rhs): a gap a hundred times wider
+    # is strict, one ten times narrower is a tie, at every scale of rhs
+    lhs = rhs + f * max(1.0, rhs)
+    assert robustness._classify(lhs, rhs) == expected
+    assert expands(np.array([lhs]), np.array([rhs])).tolist() == [expected == EXPAND]
+
+
+def _nearly_dependent(inst, rng):
+    """``inst`` with its window's last column within 1e-3 of the one before."""
+    X = inst["window"].X.copy()
+    X[:, 2] = X[:, 1] + 1e-3 * rng.standard_normal(X.shape[0])
+    n = inst["window"].n
+    return {**inst, "window": DataWindow(X, X.T @ inst["w0"] + n, n)}
+
+
+@pytest.mark.parametrize("delta,dependent", [(1e-3, False), (0.1, False), (1e-12, True)])
+def test_checker_solves_with_the_steps_delta(rng, make_instance, delta, dependent):
+    # the step moves by X y, y = (G + delta I)^-1 (e - cv); through the same operator the
+    # identity leaves exactly g1 = g2 - rhs + lhs - delta |y|^2, which a checker that
+    # solved without delta would not
+    leaky = 0
+    for _ in range(40):
+        inst = make_instance(rng)
+        if dependent:
+            inst = _nearly_dependent(inst, rng)
+        state, window, cv = inst["state"], inst["window"], inst["cv"]
+        new_state, _ = smap_update(state, window, cv, inst["gamma_bar"], delta)
+        rec = local_check(inst["w0"], state, new_state, window, cv, True, delta)
+        y = solve_spd(gram(window.X), error_vector(state, window) - cv, delta)
+        leakage = delta * float(y @ y)
+        scale = max(1.0, rec.g1, rec.g2, abs(rec.lhs), abs(rec.rhs))
+        assert abs(rec.identity_residual - leakage) <= 0.05 * leakage + 1e-10 * scale
+        leaky += leakage > 1e-8 * scale
+    assert leaky > 30  # the leakage is far above rounding on most steps
 
 
 def test_identity_residual_on_random_steps(rng, make_instance):

@@ -150,6 +150,12 @@ class TestSignals:
         with pytest.raises(InvalidInputError):
             generate_system(0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("num_taps", [10**30, 2**60])
+    def test_system_no_numpy_array_holds_is_rejected(self, num_taps):
+        with pytest.raises(InvalidInputError, match="largest array numpy can hold") as exc:
+            generate_system(num_taps, np.random.default_rng(0))
+        assert exc.value.field == "num_taps"
+
     def test_snr_calibration(self):
         config = ScenarioConfig(iterations=20_000)
         rng = np.random.default_rng(7)
@@ -914,6 +920,14 @@ class TestMonteCarlo:
     def test_rejects_non_integer_run_count(self, runs):
         config = ScenarioConfig(iterations=30)
         with pytest.raises(InvalidInputError, match="runs must be an integer") as exc:
+            run_monte_carlo(config, SMAP, runs)
+        assert exc.value.field == "runs"
+
+    @pytest.mark.parametrize("runs", [10**30, 2**59])
+    def test_rejects_a_run_count_no_numpy_array_holds(self, runs):
+        # three float64 counts a run: 2**59 runs overflow the byte count, 10**30 the length
+        config = ScenarioConfig(iterations=30)
+        with pytest.raises(InvalidInputError, match="largest array numpy can hold") as exc:
             run_monte_carlo(config, SMAP, runs)
         assert exc.value.field == "runs"
 

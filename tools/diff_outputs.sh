@@ -11,9 +11,9 @@
 # starts to warn shows up as a difference.  Exits nonzero on any difference.
 # The directory is removed on exit.  The commands are those whose digests
 # tests/test_golden.py pins, a few more (among them the first chunk of each
-# perfbench workload, and two whose tables span several of the blocks the
-# writer formats at a time), and some the library rejects, whose usage
-# errors are then compared too.
+# perfbench workload, and three whose tables span several of the blocks the
+# writer formats at a time, one of them with blocks that open on quiet rows),
+# and some the library rejects, whose usage errors are then compared too.
 set -euo pipefail
 
 rev=${1:?usage: tools/diff_outputs.sh REV}
@@ -72,6 +72,9 @@ commands=(
     "mc --iters 1000 --runs 2 --algos smap:fixed,ap:0.9 --seed 1000000"
     "run --mu 0.5 --iters 5000 --reuse 0 --seed 8"
     "mc --iters 5000 --runs 2 --algos smap:fixed,ap:0.9 --seed 3"
+    "run --iters 5000 --cv sccv --seed 3"
+    "mc --iters 10 --runs 1000000000000000000000000000000"
+    "verify --taps 1000000000000000000000000000000"
 )
 
 # run_all TREE OUT: every command against TREE's sources, outputs under OUT;
