@@ -390,10 +390,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 def _parse_algo_token(token: str, base: ScenarioConfig) -> tuple[str, ScenarioConfig]:
     name, _, arg = token.partition(":")
     try:
-        if name == SMAP:
-            if not arg:  # a bare token takes --cv and --noise-scale
-                return SMAP, base
-            return SMAP, replace(base, cv_strategy=ConstraintStrategy(arg, base.cv_strategy.scale))
+        if name == SMAP:  # a bare token names the --cv kind
+            kind = arg or base.cv_strategy.kind
+            return SMAP, replace(base, cv_strategy=ConstraintStrategy(kind, base.cv_strategy.scale))
         if name == AP:
             return AP, replace(base, ap_step=float(arg))
     except ValueError as err:  # the library's rejection, or a step size that is no number
@@ -404,13 +403,13 @@ def _parse_algo_token(token: str, base: ScenarioConfig) -> tuple[str, ScenarioCo
 def cmd_mc(args: argparse.Namespace) -> int:
     tokens = [t.strip() for t in args.algos.split(",") if t.strip()]
     require(tokens, "algos", "names no configuration")
-    require(len(set(tokens)) == len(tokens), "algos", "lists a configuration twice")
     base = _scenario_from_args(args)
-    # every token is checked before the first ensemble runs
-    plan = [(token, *_parse_algo_token(token, base)) for token in tokens]
+    # every token is checked before the first ensemble runs, and keyed by what it runs
+    plan = {_parse_algo_token(token, base): token for token in tokens}
+    require(len(plan) == len(tokens), "algos", "lists a configuration twice")
     _check_out_dir(args.out_dir)
     results = []
-    for token, algorithm, config in plan:
+    for (algorithm, config), token in plan.items():
         summary = run_monte_carlo(config, algorithm, args.runs)
         results.append((token, config, algorithm, summary))
         print(

@@ -99,6 +99,11 @@ def expands(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return ~(lhs < rhs) & ~_tied(lhs, rhs)
 
 
+def _quiet(k: int, after: float, before: float) -> LocalRobustnessRecord:
+    """A quiet step's record: the misalignments as its sums, zeros in every term."""
+    return LocalRobustnessRecord(k, False, after, before, 0.0, 0.0, NO_UPDATE, 0.0, after, 0.0, 0.0)
+
+
 def local_check(
     w0: np.ndarray,
     state_before: FilterState,
@@ -142,10 +147,7 @@ def local_check(
     wt_after = w0 - state_after.w
     wt_sq_after = float(wt_after @ wt_after)
     if not updated:
-        return LocalRobustnessRecord(
-            k, False, wt_sq_after, wt_sq_before, 0.0, 0.0, NO_UPDATE,
-            0.0, wt_sq_after, 0.0, 0.0,
-        )
+        return _quiet(k, wt_sq_after, wt_sq_before)
     if window.n is None:
         raise InvalidInputError("energy check needs the noise window")
     cv = np.asarray(cv, dtype=float)

@@ -31,7 +31,6 @@ from .filters import DataWindow, FilterState, ap_update, error_vector, indicator
 from .filters import _unchecked_window
 from .linalg import _linear_filter, all_finite, solve_spd_stack
 from .robustness import (
-    NO_UPDATE,
     DivergenceMonitorRecord,
     GlobalRobustnessReport,
     LocalRobustnessRecord,
@@ -39,6 +38,7 @@ from .robustness import (
     expands,
     global_accumulate,
     local_check,
+    _quiet,
 )
 
 SMAP = "smap"
@@ -155,10 +155,6 @@ class RunTrace:
     divergence_records: Sequence[DivergenceMonitorRecord]
     global_report: GlobalRobustnessReport
     cv_relaxations: int = 0
-
-    @property
-    def squared_error(self) -> np.ndarray:
-        return self.errors**2
 
     @property
     def update_rate(self) -> float:
@@ -414,8 +410,7 @@ def run_single(
 def _local_record(records: list, misalignment: np.ndarray, k: int) -> LocalRobustnessRecord:
     """Step ``k``'s stored record, or at a quiet step the one ``local_check`` makes."""
     m = float(misalignment[k + 1])  # a quiet step's misalignment, carried over
-    return records[k] or LocalRobustnessRecord(k, False, m, m, 0.0, 0.0, NO_UPDATE,
-                                               0.0, m, 0.0, 0.0)
+    return records[k] or _quiet(k, m, m)
 
 
 def _monitor_record(posterior: np.ndarray, k: int) -> DivergenceMonitorRecord:

@@ -253,6 +253,20 @@ class TestOutDir:
         assert sorted(p.name for p in out_dir.iterdir()) == ["summary.txt", "trace.csv"]
 
 
+def test_a_failed_write_leaves_the_old_file_and_no_temporary(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text("old contents\n")
+
+    def chunks():
+        yield "k,e\n"
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        cli._atomic_write(path, chunks())
+    assert [p.name for p in tmp_path.iterdir()] == ["trace.csv"]  # no .trace.csv.* left
+    assert path.read_text() == "old contents\n"
+
+
 class TestConfigFile:
     def test_file_supplies_defaults_but_flags_win(self, tmp_path, capsys):
         cfg = tmp_path / "scenario.cfg"
@@ -344,6 +358,28 @@ class TestMcCommand:
         summary = (tmp_path / "summary.txt").read_text()
         assert "[smap]\nalgorithm: smap\ncv-strategy: sccv\n" in summary
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--algos", "smap,smap:fixed"],
+            ["--algos", "ap:0.5,ap:.5"],
+            ["--cv", "noise", "--algos", "smap,smap:noise"],
+            ["--cv", "sccv", "--noise-scale", "2", "--algos", "smap:sccv,smap"],
+        ],
+    )
+    def test_one_configuration_under_two_spellings_is_a_usage_error(
+        self, argv, tmp_path, monkeypatch, capsys
+    ):
+        # each once ran the same ensemble twice and wrote two equal columns
+        monkeypatch.setattr(cli, "run_monte_carlo", lambda *args: pytest.fail("ran"))
+        with pytest.raises(SystemExit) as exc:
+            main(["mc", "--iters", "10", "--runs", "1", *argv, "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "smap mc: error: argument --algos: lists a configuration twice"
+        )
+        assert list(tmp_path.iterdir()) == []
+
     def test_single_run_column_equals_trace(self, tmp_path, capsys):
         rc = main(["mc", "--iters", "50", "--runs", "1",
                    "--algos", "smap:fixed", "--out-dir", str(tmp_path)])
@@ -351,7 +387,7 @@ class TestMcCommand:
         rows = _read_csv(tmp_path / "mse.csv")
         column = np.array([float(row[1]) for row in rows[1:]])
         trace = run_single(ScenarioConfig(iterations=50), SMAP, run_rng(0, 0))
-        npt.assert_array_equal(column, trace.squared_error)
+        npt.assert_array_equal(column, trace.errors**2)
 
     def test_singular_leading_block_fails_with_run_and_seed(self, tmp_path, capsys):
         # at delta = 0 run 2's Gram system is numerically singular at step 5

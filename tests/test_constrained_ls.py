@@ -65,6 +65,23 @@ def test_rank_deficient_regressors_rejected():
         solve_constrained(problem)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 3])
+def test_numerically_dependent_columns_leave_a_residual(seed):
+    # the stacked system factors, but its solution misses the constraints
+    x = np.random.default_rng(seed).standard_normal(5)
+    X = np.column_stack([x, x * (1.0 + 1e-15)])
+    problem = ConstrainedLSProblem(X, np.array([1.0, 2.0]), np.zeros(5), np.zeros(2))
+    with pytest.raises(SingularSystemError, match="constraint residual"):
+        solve_constrained(problem)
+
+
+@pytest.mark.parametrize("shape", [(3,), (3, 0), (3, 1, 1)])
+def test_problem_inputs_must_be_a_matrix_with_columns(shape):
+    d = np.zeros(shape[1] if len(shape) > 1 else 1)
+    with pytest.raises(InvalidInputError, match="inputs must form a 2-D matrix"):
+        ConstrainedLSProblem(np.ones(shape), d, np.zeros(3), d)
+
+
 def test_problem_validation():
     with pytest.raises(InvalidInputError):
         ConstrainedLSProblem(

@@ -108,6 +108,12 @@ def test_noise_requires_window():
         make_cv(noise_cv(), np.zeros(3), None, GAMMA)
 
 
+@pytest.mark.parametrize("prior, noise", [((3,), (2,)), ((3,), (2, 3)), ((2, 3), (3,))])
+def test_noise_window_must_match_the_errors(prior, noise):
+    with pytest.raises(InvalidInputError, match="noise window shape"):
+        make_cv(noise_cv(), np.zeros(prior), np.zeros(noise), GAMMA)
+
+
 def test_noise_out_of_band_raises_unless_relaxed():
     n = np.array([0.2, 0.0, 0.0])
     with pytest.raises(ConstraintBoundError):

@@ -82,6 +82,12 @@ def test_window_rejects_non_finite_data(name, bad):
         DataWindow(**arrays)
 
 
+@pytest.mark.parametrize("shape", [(3,), (3, 0)])
+def test_window_inputs_must_be_a_matrix_with_columns(shape):
+    with pytest.raises(InvalidInputError, match="inputs must form a 2-D matrix"):
+        DataWindow(np.zeros(shape), np.zeros(shape[1:] or 1))
+
+
 def test_window_check_never_adds_inf_to_minus_inf():
     # X sums to +inf and d . n to -inf; a check of their sum would see nan, with a warning
     X = np.zeros((3, 2))

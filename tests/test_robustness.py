@@ -18,13 +18,8 @@ from smap.robustness import (
     expands,
     global_accumulate,
     local_check,
+    _quiet,
 )
-
-
-def _skip_record(k, mis):
-    return LocalRobustnessRecord(
-        k, False, mis, mis, 0.0, 0.0, NO_UPDATE, 0.0, mis, 0.0, 0.0
-    )
 
 
 def test_skipped_step_keeps_energies_equal(rng):
@@ -173,7 +168,7 @@ def test_degenerate_energy_raises(rng):
 
 
 def test_global_accumulate_without_updates():
-    records = [_skip_record(k, 2.0) for k in range(5)]
+    records = [_quiet(k, 2.0, 2.0) for k in range(5)]
     report = global_accumulate(records, 2.0, 2.0)
     assert report.update_set_size == 0
     assert report.ratio == 1.0
@@ -184,7 +179,7 @@ def test_global_accumulate_sums_updating_records_only():
     up1 = LocalRobustnessRecord(
         0, True, 3.5, 4.2, 0.1, 0.8, CONTRACT, 0.0, 3.0, 0.5, 0.2
     )
-    skip = _skip_record(1, 3.0)
+    skip = _quiet(1, 3.0, 3.0)
     up2 = LocalRobustnessRecord(
         2, True, 3.75, 3.1, 0.9, 0.25, EXPAND, 0.0, 3.5, 0.25, 0.1
     )

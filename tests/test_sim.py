@@ -1,5 +1,6 @@
 """Tests for signal generation and the experiment driver."""
 
+import math
 import os
 import pickle
 import re
@@ -602,6 +603,27 @@ class TestRunSingle:
         assert 0.05 < trace.update_rate < 0.12
         assert retained / config.iterations <= 100
 
+    @pytest.mark.parametrize("num_taps, reuse", [(10, 2), (16, 4)])
+    @pytest.mark.parametrize("strategy", [fixed_cv, sc_cv, noise_cv, zero_cv])
+    def test_update_rate_follows_the_error_law(self, strategy, num_taps, reuse):
+        # A gate |e| > γ̄ on a zero-mean, near-Gaussian prior error of power ξ
+        # fires with probability 2Q(γ̄/√ξ) = erfc(γ̄/√(2ξ)).  Measured over the
+        # last half of four runs, with ξ̂ the mean squared prior error there, the
+        # rate reads 0.94–1.00 times the law.  The noise target settles at
+        # ξ → σ_n², so its rate nears 2Q(γ̄/σ_n) ≈ 0.0254.
+        config = ScenarioConfig(
+            num_taps=num_taps, reuse=reuse, iterations=3000, seed=11, cv_strategy=strategy()
+        )
+        traces = [run_single(config, SMAP, run_rng(config.seed, i)) for i in range(4)]
+        rate = np.mean([t.update_flags[1500:] for t in traces])
+        xi = np.mean([t.errors[1500:] ** 2 for t in traces])
+        gamma_bar = config.gamma_bar
+        assert 0.85 <= rate / math.erfc(gamma_bar / math.sqrt(2.0 * xi)) <= 1.10
+        if config.cv_strategy.kind == "noise":
+            sigma_sq = config.noise_variance
+            assert xi / sigma_sq <= 1.1
+            assert rate == pytest.approx(math.erfc(gamma_bar / math.sqrt(2.0 * sigma_sq)), rel=0.15)
+
 
 def _spied_run(monkeypatch, config, algorithm):
     """``run_single``'s trace, and each step's ``(state before, window, cv,
@@ -657,7 +679,7 @@ def _assert_lockstep_matches_run_single(config, algorithm, runs):
         summary.violation_counts, [t.global_report.condition_violations for t in traces]
     )
     npt.assert_array_equal(summary.cv_relaxations, [t.cv_relaxations for t in traces])
-    npt.assert_array_equal(summary.mse_curve, sum(t.squared_error for t in traces) / runs)
+    npt.assert_array_equal(summary.mse_curve, sum(t.errors**2 for t in traces) / runs)
 
 
 class TestMonteCarlo:
@@ -888,7 +910,7 @@ class TestMonteCarlo:
         config = ScenarioConfig(iterations=150, seed=6)
         summary = run_monte_carlo(config, SMAP, runs=1)
         trace = run_single(config, SMAP, run_rng(6, 0))
-        npt.assert_array_equal(summary.mse_curve, trace.squared_error)
+        npt.assert_array_equal(summary.mse_curve, trace.errors**2)
         assert summary.mean_update_rate == trace.update_rate
 
     def test_average_over_three_runs(self):
@@ -896,7 +918,7 @@ class TestMonteCarlo:
         summary = run_monte_carlo(config, SMAP, runs=3)
         manual = np.mean(
             [
-                run_single(config, SMAP, run_rng(17, i)).squared_error
+                run_single(config, SMAP, run_rng(17, i)).errors**2
                 for i in range(3)
             ],
             axis=0,

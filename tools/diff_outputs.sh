@@ -13,7 +13,8 @@
 # tests/test_golden.py pins, a few more (among them the first chunk of each
 # perfbench workload, and three whose tables span several of the blocks the
 # writer formats at a time, one of them with blocks that open on quiet rows),
-# and some the library rejects, whose usage errors are then compared too.
+# and some the library rejects, whose usage errors are then compared too, among
+# them plans that name one configuration under two spellings.
 set -euo pipefail
 
 rev=${1:?usage: tools/diff_outputs.sh REV}
@@ -75,6 +76,9 @@ commands=(
     "run --iters 5000 --cv sccv --seed 3"
     "mc --iters 10 --runs 1000000000000000000000000000000"
     "verify --taps 1000000000000000000000000000000"
+    "mc --iters 300 --runs 3 --algos smap,smap:fixed"
+    "mc --iters 300 --runs 3 --algos ap:0.5,ap:.5"
+    "mc --iters 300 --runs 3 --cv sccv --algos smap,smap:fixed"
 )
 
 # run_all TREE OUT: every command against TREE's sources, outputs under OUT;
