@@ -392,6 +392,8 @@ def _parse_algo_token(token: str, base: ScenarioConfig) -> tuple[str, ScenarioCo
     try:
         if name == SMAP:  # a bare token names the --cv kind
             kind = arg or base.cv_strategy.kind
+            require(kind in _CV_CHOICES, "algos",
+                    f"invalid choice: {kind!r} (choose from {', '.join(map(repr, _CV_CHOICES))})")
             return SMAP, replace(base, cv_strategy=ConstraintStrategy(kind, base.cv_strategy.scale))
         if name == AP:
             return AP, replace(base, ap_step=float(arg))

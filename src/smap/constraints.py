@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConstraintBoundError, InvalidInputError, real, require
+from .errors import ConstraintBoundError, InvalidInputError, in_range, real, require
 
 CvFn = Callable[[np.ndarray, Optional[np.ndarray], float], np.ndarray]
 
@@ -51,11 +51,7 @@ class ConstraintStrategy:
 
     def __post_init__(self) -> None:
         require(self.kind in KINDS, "kind", f"unknown strategy kind {self.kind!r}")
-        object.__setattr__(self, "scale", real(self.scale, "scale"))
-        require(
-            0.0 <= self.scale < np.inf,  # nan fails both comparisons
-            "scale", f"noise scale must be nonnegative and finite, got {self.scale}",
-        )
+        object.__setattr__(self, "scale", in_range(real(self.scale, "scale"), "scale"))
         require(
             self.kind != CUSTOM or callable(self.fn), "fn",
             f"custom strategy needs a callable, got {self.fn!r}",
@@ -115,7 +111,7 @@ def make_cv(
         )
     if prior.ndim == 2 and strategy.kind == CUSTOM:
         raise InvalidInputError("a custom rule takes one error vector per call")
-    check_threshold(gamma_bar)
+    in_range(gamma_bar, "gamma_bar")
     if strategy.kind == FIXED:
         return np.full(prior.shape, gamma_bar)
     if strategy.kind == SCCV:
@@ -157,11 +153,3 @@ def satisfies_bound(cv: np.ndarray, gamma_bar: float):
     """
     ok = np.abs(cv).max(axis=-1, initial=0.0) <= gamma_bar  # NaN if any component is
     return ok if ok.ndim else bool(ok)
-
-
-def check_threshold(gamma_bar: float) -> None:
-    """Reject an error-magnitude threshold that is not positive and finite."""
-    if not 0.0 < gamma_bar < np.inf:  # nan fails both comparisons
-        raise InvalidInputError(
-            f"threshold must be positive and finite, got {gamma_bar}", field="gamma_bar"
-        )

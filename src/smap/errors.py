@@ -71,6 +71,25 @@ def fits_array(count: int, field: str, what: str) -> int:
     return count
 
 
+# Each scalar parameter's range: a test that nan fails, and what the value must be.
+RANGES = {
+    "gamma_bar": (lambda v: 0.0 < v < math.inf, "threshold must be positive and finite"),
+    "delta": (lambda v: 0.0 <= v < math.inf, "regularization must be nonnegative and finite"),
+    "ap_step": (lambda v: 0.0 < v <= 1.0, "step size must lie in (0, 1]"),
+    "noise_variance": (lambda v: 0.0 < v < math.inf, "noise variance must be positive and finite"),
+    "ar_coefficient": (lambda v: abs(v) < 1.0, "autoregression coefficient must satisfy |a| < 1"),
+    "scale": (lambda v: 0.0 <= v < math.inf, "noise scale must be nonnegative and finite"),
+}
+
+
+def in_range(value, field: str):
+    """Return ``value`` if it passes ``field``'s test in ``RANGES``; else raise naming ``field``."""
+    test, what = RANGES[field]
+    if not test(value):  # the text is built only here: smap_update checks every step
+        raise InvalidInputError(f"{what}, got {value}", field=field)
+    return value
+
+
 def real(value, field: str) -> float:
     """Return ``value`` as a ``float`` if it is a real number: an int, a float or a numpy one."""
     require(isinstance(value, numbers.Real), field, f"{field} must be a real number, got {value!r}")

@@ -16,8 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from .constraints import CV_BOUND_SLACK, check_threshold, satisfies_bound
-from .errors import ConstraintBoundError, InvalidInputError
+from .constraints import CV_BOUND_SLACK, satisfies_bound
+from .errors import ConstraintBoundError, InvalidInputError, in_range
 from .linalg import all_finite, gram, solve_spd
 
 __all__ = [
@@ -182,7 +182,7 @@ def smap_update(
         The new state (the same object when no update fires) and the
         per-step record.
     """
-    check_threshold(gamma_bar)
+    in_range(gamma_bar, "gamma_bar")
     cv = np.asarray(cv, dtype=float)
     if cv.shape != window.d.shape:
         raise InvalidInputError(
@@ -212,8 +212,7 @@ def ap_update(
     constraint vector ``(1 - mu) e``, the target ``local_check`` certifies
     it against.  Returns the new state and ``UpdateOutcome(True, d - X.T w_new)``.
     """
-    if not 0.0 < mu <= 1.0:  # nan fails both comparisons
-        raise InvalidInputError(f"step size must lie in (0, 1], got {mu}", field="ap_step")
+    in_range(mu, "ap_step")
     e = _prior(state, window, prior)
     y = solve_spd(gram(window.X), e, delta)
     new_state = FilterState(state.w + mu * (window.X @ y))

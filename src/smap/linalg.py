@@ -13,13 +13,12 @@ both compiled modules are loaded by file, skipping their packages' init.
 
 from __future__ import annotations
 
-import math
 import os
 from importlib import machinery, util
 
 import numpy as np
 
-from .errors import InvalidInputError, SingularSystemError
+from .errors import InvalidInputError, SingularSystemError, in_range
 
 __all__ = ["gram", "solve_spd"]
 
@@ -90,8 +89,7 @@ def solve_spd(G: np.ndarray, b: np.ndarray, delta: float = 0.0) -> np.ndarray:
         raise InvalidInputError(
             f"right-hand side shape {b.shape} does not match system size {G.shape[0]}"
         )
-    if not 0.0 <= delta < math.inf:  # nan fails both comparisons
-        raise InvalidInputError(f"delta must be nonnegative and finite, got {delta}")
+    in_range(delta, "delta")
     if delta != 0.0:  # G + delta * np.eye(m), bit for bit, signed zeros included
         G = G + 0.0
         # G + 0.0 is C- or F-contiguous, so this is a view; reshape(-1) copies F order

@@ -21,12 +21,11 @@ from .constraints import (
     CV_BOUND_SLACK,
     NOISE,
     ConstraintStrategy,
-    check_threshold,
     fixed_cv,
     make_cv,
     satisfies_bound,
 )
-from .errors import SimulationError, SmapError, fits_array, integer, real, require
+from .errors import SimulationError, SmapError, fits_array, in_range, integer, real, require
 from .filters import DataWindow, FilterState, ap_update, error_vector, indicator, smap_update
 from .filters import _unchecked_window
 from .linalg import _linear_filter, all_finite, solve_spd_stack
@@ -103,15 +102,9 @@ class ScenarioConfig:
         samples = _CAL_SAMPLES + self.iterations + self.num_taps + self.reuse
         huge = "iterations" if self.iterations >= self.num_taps else "num_taps"
         fits_array(samples, huge, f"a run's {samples} float64 samples")
-        check_threshold(self.gamma_bar)
-        require(
-            0.0 <= self.delta < math.inf, "delta",  # nan fails both comparisons
-            f"regularization must be nonnegative and finite, got {self.delta}",
-        )
-        require(  # before the power test, which would blame an infinite variance on snr_db
-            0.0 < self.noise_variance < math.inf, "noise_variance",
-            f"noise variance must be positive and finite, got {self.noise_variance}",
-        )
+        # noise_variance before the power test, which would blame an infinite one on snr_db
+        for name in ("gamma_bar", "delta", "noise_variance"):
+            in_range(getattr(self, name), name)
         try:  # a nan, +inf or -inf SNR makes the power nan, inf or 0
             power = self.reference_power
         except OverflowError:
@@ -121,14 +114,9 @@ class ScenarioConfig:
             f"an SNR of {self.snr_db} dB puts the reference power at {power}, "
             "outside the positive floats",
         )
-        require(
-            abs(self.ar_coefficient) < 1.0, "ar_coefficient",
-            f"autoregression coefficient must satisfy |a| < 1, got {self.ar_coefficient}",
-        )
-        require(
-            self.ap_step is None or 0.0 < self.ap_step <= 1.0, "ap_step",
-            f"step size must lie in (0, 1], got {self.ap_step}",
-        )
+        in_range(self.ar_coefficient, "ar_coefficient")
+        if self.ap_step is not None:
+            in_range(self.ap_step, "ap_step")
 
     @property
     def reference_power(self) -> float:

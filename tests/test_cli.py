@@ -380,6 +380,20 @@ class TestMcCommand:
         )
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("kind", ["custom", "bogus"])
+    def test_a_smap_token_offers_the_strategies_cv_offers(self, kind, tmp_path, capsys):
+        # smap:custom once asked for a Python callable, which no command line can pass
+        with pytest.raises(SystemExit):
+            main(["mc", "--cv", kind])
+        cv_error = capsys.readouterr().err.splitlines()[-1]
+        with pytest.raises(SystemExit) as exc:
+            main(["mc", "--algos", f"smap:{kind}", "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == cv_error.replace(
+            "argument --cv: ", f"argument --algos: 'smap:{kind}': "
+        )
+        assert list(tmp_path.iterdir()) == []
+
     def test_single_run_column_equals_trace(self, tmp_path, capsys):
         rc = main(["mc", "--iters", "50", "--runs", "1",
                    "--algos", "smap:fixed", "--out-dir", str(tmp_path)])

@@ -14,7 +14,8 @@
 # perfbench workload, and three whose tables span several of the blocks the
 # writer formats at a time, one of them with blocks that open on quiet rows),
 # and some the library rejects, whose usage errors are then compared too, among
-# them plans that name one configuration under two spellings.
+# them plans that name one configuration under two spellings, a value outside
+# each parameter's range, and strategies that --cv does not offer.
 set -euo pipefail
 
 rev=${1:?usage: tools/diff_outputs.sh REV}
@@ -79,6 +80,14 @@ commands=(
     "mc --iters 300 --runs 3 --algos smap,smap:fixed"
     "mc --iters 300 --runs 3 --algos ap:0.5,ap:.5"
     "mc --iters 300 --runs 3 --cv sccv --algos smap,smap:fixed"
+    "run --mu 0"
+    "run --mu 1.5"
+    "run --ar 1"
+    "run --noise-var 0"
+    "run --gamma-bar nan"
+    "mc --noise-scale -1 --algos smap:noise"
+    "mc --algos smap:custom"
+    "mc --algos smap:bogus"
 )
 
 # run_all TREE OUT: every command against TREE's sources, outputs under OUT;
