@@ -389,9 +389,12 @@ class TestMcCommand:
         with pytest.raises(SystemExit) as exc:
             main(["mc", "--algos", f"smap:{kind}", "--out-dir", str(tmp_path)])
         assert exc.value.code == 2
-        assert capsys.readouterr().err.splitlines()[-1] == cv_error.replace(
-            "argument --cv: ", f"argument --algos: 'smap:{kind}': "
-        )
+        algos_error = capsys.readouterr().err.splitlines()[-1]
+        assert f"argument --algos: 'smap:{kind}': invalid choice: '{kind}'" in algos_error
+        # argparse quotes the choices differently across Python versions; the names agree
+        for error in (cv_error, algos_error):
+            offered = error.partition("choose from")[2]
+            assert re.findall(r"\w+", offered) == ["fixed", "sccv", "noise", "zero"]
         assert list(tmp_path.iterdir()) == []
 
     def test_single_run_column_equals_trace(self, tmp_path, capsys):

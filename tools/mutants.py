@@ -1,17 +1,16 @@
 #!/usr/bin/env python3
 """Apply one-line mutants to a copy of the package and print the tests that kill each.
 
-    python3 tools/mutants.py [--rev REV] [NAME ...]
+    python3 tools/mutants.py [--rev REV]
 
 Each mutant in ``CATALOGUE`` replaces one literal text, which must occur
 exactly once, in one file under ``src/smap``.  The tree under test is the
 working tree, or REV exported with ``git archive``; its ``src/``, ``tests/``
 and ``pyproject.toml`` are copied into a temporary directory.  There the
-unmutated copy runs first, then each mutant (all of them, or those NAMEd)
-in turn.  Each run is one pytest process over Tier-1 without
-``tests/test_golden.py`` and ``tests/test_benchmark_contract.py``, which pin
-bytes and the benchmark's self-test rather than meaning, so only semantic
-checks count.  Mutants run one after another; no process pool is started.
+unmutated copy runs first, then each mutant in turn.  Each run is one
+pytest process over Tier-1 without ``tests/test_golden.py`` and
+``tests/test_benchmark_contract.py``, which pin bytes and the benchmark's
+self-test rather than meaning, so only semantic checks count.  Mutants run one after another; no process pool is started.
 
 Prints, per mutant, the tests that fail on it (that kill it), or SURVIVED,
 and a mutant whose old text is not in the tree as not applicable; then the
@@ -115,12 +114,7 @@ def failing_tests(tree: Path) -> tuple[list[str], str]:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--rev", help="test this revision instead of the working tree")
-    parser.add_argument("names", nargs="*", metavar="NAME", help="run only these mutants")
     args = parser.parse_args()
-    known = {mutant.name for mutant in CATALOGUE}
-    if unknown := [name for name in args.names if name not in known]:
-        parser.error(f"unknown mutants: {' '.join(unknown)}")
-    chosen = [m for m in CATALOGUE if not args.names or m.name in args.names]
 
     with tempfile.TemporaryDirectory(prefix="smap-mutants-") as tmp:
         tree = Path(tmp)
@@ -131,7 +125,7 @@ def main() -> int:
             print("the unmutated copy fails; no mutant can be judged:", *failed, sep="\n    ")
             return 1
         killed, survived, skipped = [], [], []
-        for mutant in chosen:
+        for mutant in CATALOGUE:
             path = tree / "src" / "smap" / mutant.path
             original = path.read_text(encoding="utf-8")
             count = original.count(mutant.old)
