@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConstraintBoundError, InvalidInputError, in_range, real, require
+from .errors import ConstraintBoundError, InvalidInputError, in_range, require
 
 CvFn = Callable[[np.ndarray, Optional[np.ndarray], float], np.ndarray]
 
@@ -51,7 +51,7 @@ class ConstraintStrategy:
 
     def __post_init__(self) -> None:
         require(self.kind in KINDS, "kind", f"unknown strategy kind {self.kind!r}")
-        object.__setattr__(self, "scale", in_range(real(self.scale, "scale"), "scale"))
+        object.__setattr__(self, "scale", in_range(self.scale, "scale"))
         require(
             self.kind != CUSTOM or callable(self.fn), "fn",
             f"custom strategy needs a callable, got {self.fn!r}",
@@ -111,7 +111,7 @@ def make_cv(
         )
     if prior.ndim == 2 and strategy.kind == CUSTOM:
         raise InvalidInputError("a custom rule takes one error vector per call")
-    in_range(gamma_bar, "gamma_bar")
+    gamma_bar = in_range(gamma_bar, "gamma_bar")
     if strategy.kind == FIXED:
         return np.full(prior.shape, gamma_bar)
     if strategy.kind == SCCV:

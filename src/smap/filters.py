@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .constraints import CV_BOUND_SLACK, satisfies_bound
-from .errors import ConstraintBoundError, InvalidInputError, in_range
+from .errors import ConstraintBoundError, InvalidInputError, fits_array, in_range, integer
 from .linalg import all_finite, gram, solve_spd
 
 __all__ = [
@@ -47,7 +47,8 @@ class FilterState:
 
     @classmethod
     def zeros(cls, num_taps: int) -> "FilterState":
-        return cls(np.zeros(num_taps))
+        num_taps = integer(num_taps, "num_taps", 1)  # the count rule generate_system applies
+        return cls(np.zeros(fits_array(num_taps, "num_taps", f"{num_taps} taps")))
 
 
 @dataclass(frozen=True, slots=True)
@@ -182,7 +183,7 @@ def smap_update(
         The new state (the same object when no update fires) and the
         per-step record.
     """
-    in_range(gamma_bar, "gamma_bar")
+    gamma_bar = in_range(gamma_bar, "gamma_bar")
     cv = np.asarray(cv, dtype=float)
     if cv.shape != window.d.shape:
         raise InvalidInputError(
@@ -212,7 +213,7 @@ def ap_update(
     constraint vector ``(1 - mu) e``, the target ``local_check`` certifies
     it against.  Returns the new state and ``UpdateOutcome(True, d - X.T w_new)``.
     """
-    in_range(mu, "ap_step")
+    mu = in_range(mu, "ap_step")
     e = _prior(state, window, prior)
     y = solve_spd(gram(window.X), e, delta)
     new_state = FilterState(state.w + mu * (window.X @ y))

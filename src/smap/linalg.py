@@ -89,7 +89,7 @@ def solve_spd(G: np.ndarray, b: np.ndarray, delta: float = 0.0) -> np.ndarray:
         raise InvalidInputError(
             f"right-hand side shape {b.shape} does not match system size {G.shape[0]}"
         )
-    in_range(delta, "delta")
+    delta = in_range(delta, "delta")
     if delta != 0.0:  # G + delta * np.eye(m), bit for bit, signed zeros included
         G = G + 0.0
         # G + 0.0 is C- or F-contiguous, so this is a view; reshape(-1) copies F order

@@ -87,9 +87,10 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         for name, low in (("num_taps", 1), ("reuse", 0), ("iterations", 0), ("seed", 0)):
             object.__setattr__(self, name, integer(getattr(self, name), name, low))
-        for name in ("gamma_bar", "delta", "noise_variance", "ar_coefficient", "snr_db", "ap_step"):
+        object.__setattr__(self, "snr_db", real(self.snr_db, "snr_db"))
+        for name in ("gamma_bar", "delta", "noise_variance", "ar_coefficient", "ap_step"):
             if name != "ap_step" or self.ap_step is not None:
-                object.__setattr__(self, name, real(getattr(self, name), name))
+                object.__setattr__(self, name, in_range(getattr(self, name), name))
         require(
             isinstance(self.cv_strategy, ConstraintStrategy), "cv_strategy",
             f"cv_strategy must be a ConstraintStrategy, got {self.cv_strategy!r}",
@@ -102,9 +103,6 @@ class ScenarioConfig:
         samples = _CAL_SAMPLES + self.iterations + self.num_taps + self.reuse
         huge = "iterations" if self.iterations >= self.num_taps else "num_taps"
         fits_array(samples, huge, f"a run's {samples} float64 samples")
-        # noise_variance before the power test, which would blame an infinite one on snr_db
-        for name in ("gamma_bar", "delta", "noise_variance"):
-            in_range(getattr(self, name), name)
         try:  # a nan, +inf or -inf SNR makes the power nan, inf or 0
             power = self.reference_power
         except OverflowError:
@@ -114,9 +112,6 @@ class ScenarioConfig:
             f"an SNR of {self.snr_db} dB puts the reference power at {power}, "
             "outside the positive floats",
         )
-        in_range(self.ar_coefficient, "ar_coefficient")
-        if self.ap_step is not None:
-            in_range(self.ap_step, "ap_step")
 
     @property
     def reference_power(self) -> float:

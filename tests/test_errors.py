@@ -1,14 +1,16 @@
-"""Each scalar parameter has one range, with one text, at every public entry point that takes it."""
+"""Each scalar parameter has one type rule and one range, with one text each, at every public
+entry point that takes it."""
 
 import math
 
 import numpy as np
 import pytest
 
-from smap.constraints import NOISE, ConstraintStrategy, fixed_cv, make_cv, noise_cv
+from smap.constraints import NOISE, ConstraintStrategy, fixed_cv, make_cv, noise_cv, sc_cv
 from smap.errors import InvalidInputError
 from smap.filters import DataWindow, FilterState, ap_update, smap_update
 from smap.linalg import solve_spd
+from smap.robustness import local_check
 from smap.sim import ScenarioConfig
 
 # Written out here, not read from errors.RANGES, so that this test guards the texts too.
@@ -47,6 +49,10 @@ ENTRY_POINTS = {
     "delta": (
         lambda v: ScenarioConfig(delta=v),
         lambda v: solve_spd(np.eye(2), np.ones(2), v),
+        lambda v: local_check(
+            np.ones(2), FilterState.zeros(2), FilterState.zeros(2),
+            DataWindow(np.eye(2), np.ones(2), np.zeros(2)), np.zeros(2), True, v,
+        ),
     ),
     "ap_step": (
         lambda v: ScenarioConfig(ap_step=v),
@@ -72,3 +78,29 @@ def test_every_entry_point_applies_one_range_with_one_text(field):
     for value in ACCEPTED.get(field, ()):
         for enter in ENTRY_POINTS[field]:
             enter(value)
+
+
+@pytest.mark.parametrize("field", TEXTS)
+def test_every_entry_point_applies_one_type_rule_with_one_text(field):
+    # smap_update, make_cv, ap_update, solve_spd and local_check once checked the range alone,
+    # so these raised numpy's or Python's bare TypeError, ValueError or OverflowError
+    for value in ("0.3", np.array([0.1, 0.2]), None):
+        for enter in ENTRY_POINTS[field]:
+            if value is None and field == "ap_step" and enter is ENTRY_POINTS[field][0]:
+                enter(value)  # a configuration without a step size runs SM-AP
+                continue
+            with pytest.raises(InvalidInputError) as exc:
+                enter(value)
+            assert (str(exc.value), exc.value.field) == (
+                f"{field} must be a real number, got {value!r}", field
+            )
+    for enter in ENTRY_POINTS[field]:  # an int too large for a float reads as inf
+        with pytest.raises(InvalidInputError) as exc:
+            enter(10**400)
+        assert (str(exc.value), exc.value.field) == (f"{TEXTS[field]}, got inf", field)
+
+
+@pytest.mark.parametrize("strategy", [fixed_cv(), sc_cv()])
+def test_make_cv_computes_with_the_float_it_checked(strategy):
+    cv = make_cv(strategy, np.array([0.5, -0.1]), None, np.float32(0.2236))
+    assert cv.dtype == np.float64

@@ -29,6 +29,16 @@ def test_state_order_and_validation():
         FilterState(np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("num_taps", [2.5, "3", -1, 0, 10**30])
+def test_zeros_applies_the_count_rule_generate_system_does(num_taps):
+    # all but 0 once raised numpy's bare TypeError or ValueError, and 0 named no field
+    with pytest.raises(InvalidInputError) as exc:
+        FilterState.zeros(num_taps)
+    text = (f"{num_taps} taps exceed the largest array numpy can hold" if num_taps == 10**30
+            else f"num_taps must be an integer >= 1, got {num_taps!r}")
+    assert (str(exc.value), exc.value.field) == (text, "num_taps")
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_state_rejects_non_finite_coefficients_anywhere(bad):
     for index in range(5):

@@ -15,7 +15,8 @@
 # writer formats at a time, one of them with blocks that open on quiet rows),
 # and some the library rejects, whose usage errors are then compared too, among
 # them plans that name one configuration under two spellings, a value outside
-# each parameter's range, and strategies that --cv does not offer.
+# each parameter's range, strategies that --cv does not offer, and two
+# configurations with two faults each, which show which field is blamed first.
 set -euo pipefail
 
 rev=${1:?usage: tools/diff_outputs.sh REV}
@@ -88,6 +89,8 @@ commands=(
     "mc --noise-scale -1 --algos smap:noise"
     "mc --algos smap:custom"
     "mc --algos smap:bogus"
+    "run --taps 3 --reuse 5 --gamma-bar 0 --iters 10"
+    "run --mu 2 --snr-db nan --iters 10"
 )
 
 # run_all TREE OUT: every command against TREE's sources, outputs under OUT;

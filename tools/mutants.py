@@ -1,20 +1,22 @@
 #!/usr/bin/env python3
-"""Apply one-line mutants to a copy of the package and print the tests that kill each.
+"""Apply mutants to a copy of the package and print the tests that kill each.
 
     python3 tools/mutants.py [--rev REV]
 
-Each mutant in ``CATALOGUE`` replaces one literal text, which must occur
-exactly once, in one file under ``src/smap``.  The tree under test is the
-working tree, or REV exported with ``git archive``; its ``src/``, ``tests/``
-and ``pyproject.toml`` are copied into a temporary directory.  There the
-unmutated copy runs first, then each mutant in turn.  Each run is one
-pytest process over Tier-1 without ``tests/test_golden.py`` and
-``tests/test_benchmark_contract.py``, which pin bytes and the benchmark's
-self-test rather than meaning, so only semantic checks count.  Mutants run one after another; no process pool is started.
+Each mutant in ``CATALOGUE`` makes one or more edits together; each edit
+replaces one literal text, which must occur exactly once, in a file under
+``src/smap``.  The tree under test is the working tree, or REV exported
+with ``git archive``; its ``src/``, ``tests/`` and ``pyproject.toml`` are
+copied into a temporary directory.  There the unmutated copy runs first,
+then each mutant in turn.  Each run is one pytest process over Tier-1
+without ``tests/test_golden.py`` and ``tests/test_benchmark_contract.py``,
+which pin bytes and the benchmark's self-test rather than meaning, so only
+semantic checks count.  Mutants run one after another; no process pool is
+started.
 
 Prints, per mutant, the tests that fail on it (that kill it), or SURVIVED,
-and a mutant whose old text is not in the tree as not applicable; then the
-kill count and each survivor.  Exits 1 if the unmutated copy fails a test.
+or "not applicable" when one of its old texts is not in its file exactly
+once; then the kill count and each survivor.  Exits 1 if the unmutated copy fails a test.
 Writes nothing in the repository; the temporary directory is removed on
 exit.  A run takes about 40 s per mutant on 2 vCPU, so this stays out of
 Tier-1.
@@ -38,40 +40,75 @@ TIMEOUT_S = 900  # a mutant that makes the suite hang counts as killed
 
 class Mutant(NamedTuple):
     name: str
-    path: str  # relative to src/smap
-    old: str
-    new: str
+    edits: tuple[tuple[str, str, str], ...]  # (path relative to src/smap, old, new), made together
 
 
 CATALOGUE = (
     # the seven of the first mutation probe
-    Mutant("preserve-rtol-1e-6", "robustness.py",
-           "PRESERVE_RTOL = 1e-12", "PRESERVE_RTOL = 1e-6"),
-    Mutant("checker-gram-without-small-delta", "robustness.py",
-           "sols = solve_spd(gram(window.X), rhs, delta)",
-           "sols = solve_spd(gram(window.X), rhs, delta if delta >= 1e-6 else 0.0)"),
-    Mutant("cholesky-lead-misplaced", "linalg.py", "y[:j] = lead", "y[-j:] = lead"),
-    Mutant("gate-at-the-threshold", "filters.py",
-           "return abs(e0) > gamma_bar", "return abs(e0) >= gamma_bar"),
-    Mutant("rhs-absolute", "robustness.py",
-           "rhs = 2.0 * float(cv @ sols[:, 1])", "rhs = 2.0 * abs(float(cv @ sols[:, 1]))"),
-    Mutant("padded-lag-mask-off-by-one", "sim.py",
-           "cv = np.where(lag <= k, cv, 0.0)", "cv = np.where(lag < k, cv, 0.0)"),
-    Mutant("ratio-denominator-without-w0", "robustness.py",
-           "denominator = float(w_tilde_0_sq) + n_sum", "denominator = n_sum"),
+    Mutant("preserve-rtol-1e-6", (
+        ("robustness.py", "PRESERVE_RTOL = 1e-12", "PRESERVE_RTOL = 1e-6"),
+    )),
+    Mutant("checker-gram-without-small-delta", (
+        ("robustness.py", "sols = solve_spd(gram(window.X), rhs, delta)",
+         "sols = solve_spd(gram(window.X), rhs, delta if delta >= 1e-6 else 0.0)"),
+    )),
+    Mutant("cholesky-lead-misplaced", (("linalg.py", "y[:j] = lead", "y[-j:] = lead"),)),
+    Mutant("gate-at-the-threshold", (
+        ("filters.py", "return abs(e0) > gamma_bar", "return abs(e0) >= gamma_bar"),
+    )),
+    Mutant("rhs-absolute", (
+        ("robustness.py", "rhs = 2.0 * float(cv @ sols[:, 1])",
+         "rhs = 2.0 * abs(float(cv @ sols[:, 1]))"),
+    )),
+    Mutant("padded-lag-mask-off-by-one", (
+        ("sim.py", "cv = np.where(lag <= k, cv, 0.0)", "cv = np.where(lag < k, cv, 0.0)"),
+    )),
+    Mutant("ratio-denominator-without-w0", (
+        ("robustness.py", "denominator = float(w_tilde_0_sq) + n_sum", "denominator = n_sum"),
+    )),
     # one boundary flip per entry of errors.RANGES
-    Mutant("range-gamma-bar-takes-0", "errors.py",
-           '"gamma_bar": (lambda v: 0.0 < v', '"gamma_bar": (lambda v: 0.0 <= v'),
-    Mutant("range-delta-refuses-0", "errors.py",
-           '"delta": (lambda v: 0.0 <= v', '"delta": (lambda v: 0.0 < v'),
-    Mutant("range-ap-step-refuses-1", "errors.py",
-           '"ap_step": (lambda v: 0.0 < v <= 1.0', '"ap_step": (lambda v: 0.0 < v < 1.0'),
-    Mutant("range-noise-variance-takes-0", "errors.py",
-           '"noise_variance": (lambda v: 0.0 < v', '"noise_variance": (lambda v: 0.0 <= v'),
-    Mutant("range-ar-coefficient-takes-1", "errors.py",
-           "(lambda v: abs(v) < 1.0", "(lambda v: abs(v) <= 1.0"),
-    Mutant("range-scale-refuses-0", "errors.py",
-           '"scale": (lambda v: 0.0 <= v', '"scale": (lambda v: 0.0 < v'),
+    Mutant("range-gamma-bar-takes-0", (
+        ("errors.py", '"gamma_bar": (lambda v: 0.0 < v', '"gamma_bar": (lambda v: 0.0 <= v'),
+    )),
+    Mutant("range-delta-refuses-0", (
+        ("errors.py", '"delta": (lambda v: 0.0 <= v', '"delta": (lambda v: 0.0 < v'),
+    )),
+    Mutant("range-ap-step-refuses-1", (
+        ("errors.py", '"ap_step": (lambda v: 0.0 < v <= 1.0',
+         '"ap_step": (lambda v: 0.0 < v < 1.0'),
+    )),
+    Mutant("range-noise-variance-takes-0", (
+        ("errors.py", '"noise_variance": (lambda v: 0.0 < v',
+         '"noise_variance": (lambda v: 0.0 <= v'),
+    )),
+    Mutant("range-ar-coefficient-takes-1", (
+        ("errors.py", "(lambda v: abs(v) < 1.0", "(lambda v: abs(v) <= 1.0"),
+    )),
+    Mutant("range-scale-refuses-0", (
+        ("errors.py", '"scale": (lambda v: 0.0 <= v', '"scale": (lambda v: 0.0 < v'),
+    )),
+    # the type rule, the gate, the constraint band, the quiet record, the tie band, the tail
+    Mutant("range-without-type-test", (("errors.py", "    value = real(value, field)\n", ""),)),
+    Mutant("gate-on-the-oldest-error", (  # e[-1], not e[1]: at L = 0 the window holds one error
+        ("sim.py", "if indicator(e[0], config.gamma_bar):",
+         "if indicator(e[-1], config.gamma_bar):"),
+        ("filters.py", "if not indicator(e[0], gamma_bar):", "if not indicator(e[-1], gamma_bar):"),
+    )),
+    Mutant("sccv-band-doubled", (
+        ("constraints.py", "cv = np.minimum(np.maximum(prior, -gamma_bar), gamma_bar)",
+         "cv = np.minimum(np.maximum(prior, -2 * gamma_bar), 2 * gamma_bar)"),
+    )),
+    Mutant("quiet-record-holds-w0", (
+        ("sim.py", "m = float(misalignment[k + 1])", "m = float(misalignment[0])"),
+    )),
+    Mutant("tie-band-without-floor-of-1", (
+        ("robustness.py", "return (gap <= PRESERVE_RTOL) | (gap <= PRESERVE_RTOL * rhs)",
+         "return gap <= PRESERVE_RTOL * rhs"),
+    )),
+    Mutant("steady-state-tail-one-longer", (
+        ("sim.py", "tail = curve[-max(1, int(curve.size * 0.2)) :]",
+         "tail = curve[-max(1, int(curve.size * 0.2)) - 1 :]"),
+    )),
 )
 
 
@@ -90,6 +127,23 @@ def copy_tree(rev: str | None, dest: Path) -> None:
     archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, *parts],
                              check=True, capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
+def mutate(tree: Path, mutant: Mutant) -> dict[Path, str] | str:
+    """Make ``mutant``'s edits in ``tree`` and return each edited file's original text; or,
+    writing nothing, say why it does not apply: an edit's old text is not there exactly once."""
+    originals, texts = {}, {}
+    for name, old, new in mutant.edits:
+        path = tree / "src" / "smap" / name
+        if path not in originals:
+            originals[path] = texts[path] = path.read_text(encoding="utf-8")
+        count = texts[path].count(old)
+        if count != 1:
+            return f"{count} matches in {name}"
+        texts[path] = texts[path].replace(old, new)
+    for path, text in texts.items():
+        path.write_text(text, encoding="utf-8")
+    return originals
 
 
 def failing_tests(tree: Path) -> tuple[list[str], str]:
@@ -126,18 +180,16 @@ def main() -> int:
             return 1
         killed, survived, skipped = [], [], []
         for mutant in CATALOGUE:
-            path = tree / "src" / "smap" / mutant.path
-            original = path.read_text(encoding="utf-8")
-            count = original.count(mutant.old)
-            if count != 1:
-                print(f"{mutant.name}: not applicable ({count} matches in {mutant.path})")
+            originals = mutate(tree, mutant)
+            if isinstance(originals, str):
+                print(f"{mutant.name}: not applicable ({originals})")
                 skipped.append(mutant.name)
                 continue
-            path.write_text(original.replace(mutant.old, mutant.new), encoding="utf-8")
             try:
                 failed, last = failing_tests(tree)
             finally:
-                path.write_text(original, encoding="utf-8")
+                for path, original in originals.items():
+                    path.write_text(original, encoding="utf-8")
             if failed:
                 killed.append(mutant.name)
                 print(f"{mutant.name}: killed by {len(failed)} ({last})", *failed,
