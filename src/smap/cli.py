@@ -264,6 +264,7 @@ def verify_update_against_kkt(
     identity is evaluated on the same step.
     """
     instances = integer(instances, "instances", 1)
+    fits_array(3 * instances, "instances", f"the gaps of {instances} instances")
     num_taps = integer(num_taps, "num_taps", 1)
     max_reuse = integer(max_reuse, "max_reuse")
     require(

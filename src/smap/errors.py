@@ -79,23 +79,20 @@ RANGES = {
     "noise_variance": (lambda v: 0.0 < v < math.inf, "noise variance must be positive and finite"),
     "ar_coefficient": (lambda v: abs(v) < 1.0, "autoregression coefficient must satisfy |a| < 1"),
     "scale": (lambda v: 0.0 <= v < math.inf, "noise scale must be nonnegative and finite"),
+    "snr_db": (math.isfinite, "SNR must be finite"),
 }
 
 
 def in_range(value, field: str) -> float:
-    """Return ``value`` as a ``float`` if it is real and passes ``field``'s test in ``RANGES``."""
-    value = real(value, field)
-    test, what = RANGES[field]
-    if not test(value):  # the text is built only here: smap_update checks every step
-        raise InvalidInputError(f"{what}, got {value}", field=field)
-    return value
-
-
-def real(value, field: str) -> float:
-    """Return ``value`` as a ``float`` if it is a real number: an int, a float or a numpy one."""
+    """Return ``value`` as a ``float`` if it is a real number (an int, a float or a numpy one)
+    that passes ``field``'s test in ``RANGES``."""
     if not (isinstance(value, float) or isinstance(value, numbers.Real)):  # the ABC test is slow
         raise InvalidInputError(f"{field} must be a real number, got {value!r}", field=field)
     try:
-        return float(value)
-    except OverflowError:  # an int too large for a float; the field's range rule rejects +-inf
-        return math.inf if value > 0 else -math.inf
+        value = float(value)
+    except OverflowError:  # an int too large for a float; the range rejects +-inf
+        value = math.inf if value > 0 else -math.inf
+    test, what = RANGES[field]
+    if not test(value):  # the text is built only here: indicator checks every step
+        raise InvalidInputError(f"{what}, got {value}", field=field)
+    return value

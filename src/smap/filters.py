@@ -133,9 +133,10 @@ def _prior(state: FilterState, window: DataWindow, prior: Optional[np.ndarray]) 
 def indicator(e0: float, gamma_bar: float) -> bool:
     """True when the current error magnitude strictly exceeds the threshold.
 
-    The boundary case deliberately does not update.  A non-finite error
-    is rejected: it would otherwise compare false and skip the step.
+    The boundary case deliberately does not update.  ``gamma_bar`` is checked by its rule
+    in ``errors.RANGES``; a non-finite error is rejected, as it would compare false.
     """
+    gamma_bar = in_range(gamma_bar, "gamma_bar")
     if not math.isfinite(e0):
         raise InvalidInputError(f"current error must be finite, got {e0}")
     return abs(e0) > gamma_bar
@@ -183,18 +184,18 @@ def smap_update(
         The new state (the same object when no update fires) and the
         per-step record.
     """
-    gamma_bar = in_range(gamma_bar, "gamma_bar")
     cv = np.asarray(cv, dtype=float)
     if cv.shape != window.d.shape:
         raise InvalidInputError(
             f"constraint shape {cv.shape} does not match window width {window.d.shape[0]}"
         )
-    if enforce_cv_bound and not satisfies_bound(cv, gamma_bar + CV_BOUND_SLACK):
-        raise ConstraintBoundError(
-            f"constraint magnitude {np.abs(cv).max():.6g} exceeds threshold {gamma_bar:.6g}"
-        )
     e = _prior(state, window, prior)
-    if not indicator(e[0], gamma_bar):
+    fires = indicator(e[0], gamma_bar)  # the gate checks gamma_bar, once per call
+    if enforce_cv_bound and not satisfies_bound(cv, float(gamma_bar) + CV_BOUND_SLACK):
+        raise ConstraintBoundError(
+            f"constraint magnitude {np.abs(cv).max():.6g} exceeds threshold {float(gamma_bar):.6g}"
+        )
+    if not fires:
         return state, UpdateOutcome(False, e)
     y = solve_spd(gram(window.X), e - cv, delta)
     new_state = FilterState(state.w + window.X @ y)

@@ -25,7 +25,7 @@ from .constraints import (
     make_cv,
     satisfies_bound,
 )
-from .errors import SimulationError, SmapError, fits_array, in_range, integer, real, require
+from .errors import SimulationError, SmapError, fits_array, in_range, integer, require
 from .filters import DataWindow, FilterState, ap_update, error_vector, indicator, smap_update
 from .filters import _unchecked_window
 from .linalg import _linear_filter, all_finite, solve_spd_stack
@@ -87,8 +87,7 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         for name, low in (("num_taps", 1), ("reuse", 0), ("iterations", 0), ("seed", 0)):
             object.__setattr__(self, name, integer(getattr(self, name), name, low))
-        object.__setattr__(self, "snr_db", real(self.snr_db, "snr_db"))
-        for name in ("gamma_bar", "delta", "noise_variance", "ar_coefficient", "ap_step"):
+        for name in ("gamma_bar", "delta", "noise_variance", "ar_coefficient", "snr_db", "ap_step"):
             if name != "ap_step" or self.ap_step is not None:
                 object.__setattr__(self, name, in_range(getattr(self, name), name))
         require(
@@ -103,7 +102,7 @@ class ScenarioConfig:
         samples = _CAL_SAMPLES + self.iterations + self.num_taps + self.reuse
         huge = "iterations" if self.iterations >= self.num_taps else "num_taps"
         fits_array(samples, huge, f"a run's {samples} float64 samples")
-        try:  # a nan, +inf or -inf SNR makes the power nan, inf or 0
+        try:  # a finite SNR of +-4000 dB still makes the power overflow, or underflow to 0
             power = self.reference_power
         except OverflowError:
             power = math.inf

@@ -189,6 +189,7 @@ class TestRunCommand:
             # counts no numpy array can hold
             (["mc", "--iters", "10", "--runs", str(10**30)], "runs"),
             (["verify", "--taps", str(10**30)], "taps"),
+            (["verify", "--instances", str(10**30)], "instances"),
         ],
     )
     def test_rejected_value_names_its_flag(self, argv, flag, tmp_path, monkeypatch, capsys):
@@ -526,6 +527,13 @@ class TestVerifyCommand:
         with pytest.raises(InvalidInputError, match="largest array numpy can hold") as exc:
             verify_update_against_kkt(1, num_taps, 0, 0)
         assert exc.value.field == "num_taps"
+
+    @pytest.mark.parametrize("instances", [10**30, 2**59])
+    def test_library_entry_point_rejects_instance_counts_no_numpy_array_holds(self, instances):
+        # the sweep holds three float64 gaps an instance: 2**59 instances fit only without the 3
+        with pytest.raises(InvalidInputError, match="largest array numpy can hold") as exc:
+            verify_update_against_kkt(instances, 10, 2, 0)
+        assert exc.value.field == "instances"
 
 
 # (algorithm, ScenarioConfig fields) of the runs whose tables are written a block at a time

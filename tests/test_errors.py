@@ -8,7 +8,7 @@ import pytest
 
 from smap.constraints import NOISE, ConstraintStrategy, fixed_cv, make_cv, noise_cv, sc_cv
 from smap.errors import InvalidInputError
-from smap.filters import DataWindow, FilterState, ap_update, smap_update
+from smap.filters import DataWindow, FilterState, ap_update, indicator, smap_update
 from smap.linalg import solve_spd
 from smap.robustness import local_check
 from smap.sim import ScenarioConfig
@@ -21,6 +21,7 @@ TEXTS = {
     "noise_variance": "noise variance must be positive and finite",
     "ar_coefficient": "autoregression coefficient must satisfy |a| < 1",
     "scale": "noise scale must be nonnegative and finite",
+    "snr_db": "SNR must be finite",
 }
 # beside nan and both infinities: the excluded boundary, or the float just past an included one
 REJECTED = {
@@ -30,6 +31,7 @@ REJECTED = {
     "noise_variance": (0.0,),
     "ar_coefficient": (1.0, -1.0),
     "scale": (-5e-324,),
+    "snr_db": (),
 }
 ACCEPTED = {"delta": (0.0,), "ap_step": (1.0,), "scale": (0.0,)}  # the included boundaries
 
@@ -45,6 +47,7 @@ ENTRY_POINTS = {
         lambda v: ScenarioConfig(gamma_bar=v),
         lambda v: smap_update(FilterState.zeros(2), _window(), np.zeros(2), v),
         lambda v: make_cv(fixed_cv(), np.ones(2), None, v),
+        lambda v: indicator(1.0, v),
     ),
     "delta": (
         lambda v: ScenarioConfig(delta=v),
@@ -64,6 +67,7 @@ ENTRY_POINTS = {
         lambda v: ScenarioConfig(cv_strategy=noise_cv(v)),
         lambda v: ConstraintStrategy(NOISE, scale=v),
     ),
+    "snr_db": (lambda v: ScenarioConfig(snr_db=v),),
 }
 
 

@@ -91,6 +91,9 @@ commands=(
     "mc --algos smap:bogus"
     "run --taps 3 --reuse 5 --gamma-bar 0 --iters 10"
     "run --mu 2 --snr-db nan --iters 10"
+    "run --snr-db inf --iters 10"
+    "run --snr-db=-inf --iters 10"
+    "mc --snr-db nan --iters 10 --runs 1 --algos smap:fixed"
 )
 
 # run_all TREE OUT: every command against TREE's sources, outputs under OUT;

@@ -88,11 +88,14 @@ CATALOGUE = (
         ("errors.py", '"scale": (lambda v: 0.0 <= v', '"scale": (lambda v: 0.0 < v'),
     )),
     # the type rule, the gate, the constraint band, the quiet record, the tie band, the tail
-    Mutant("range-without-type-test", (("errors.py", "    value = real(value, field)\n", ""),)),
+    Mutant("range-without-type-test", (  # float() alone takes '0.3' and refuses None bare
+        ("errors.py", "if not (isinstance(value, float) or isinstance(value, numbers.Real)):",
+         "if False:"),
+    )),
     Mutant("gate-on-the-oldest-error", (  # e[-1], not e[1]: at L = 0 the window holds one error
         ("sim.py", "if indicator(e[0], config.gamma_bar):",
          "if indicator(e[-1], config.gamma_bar):"),
-        ("filters.py", "if not indicator(e[0], gamma_bar):", "if not indicator(e[-1], gamma_bar):"),
+        ("filters.py", "fires = indicator(e[0], gamma_bar)", "fires = indicator(e[-1], gamma_bar)"),
     )),
     Mutant("sccv-band-doubled", (
         ("constraints.py", "cv = np.minimum(np.maximum(prior, -gamma_bar), gamma_bar)",
@@ -108,6 +111,23 @@ CATALOGUE = (
     Mutant("steady-state-tail-one-longer", (
         ("sim.py", "tail = curve[-max(1, int(curve.size * 0.2)) :]",
          "tail = curve[-max(1, int(curve.size * 0.2)) - 1 :]"),
+    )),
+    # the gate's threshold rule, the SNR's range, the carried misalignment, and the gate's
+    # boundary moved in both engines at once, which engine-agreement tests cannot see
+    Mutant("gate-skips-threshold-rule", (
+        ("filters.py", '    gamma_bar = in_range(gamma_bar, "gamma_bar")\n', ""),
+    )),
+    Mutant("snr-range-takes-infinity", (
+        ("errors.py", '"snr_db": (math.isfinite,', '"snr_db": (lambda v: not math.isnan(v),'),
+    )),
+    Mutant("misalignment-not-carried", (
+        ("sim.py", "misalignment[k + 1] = wt_sq",
+         "misalignment[k + 1] = wt_sq if updated else misalignment[0]"),
+    )),
+    Mutant("gate-at-the-threshold-in-both-engines", (
+        ("filters.py", "return abs(e0) > gamma_bar", "return abs(e0) >= gamma_bar"),
+        ("sim.py", "(~(np.abs(e0) <= gamma_bar))", "(~(np.abs(e0) < gamma_bar))"),
+        ("sim.py", "pending > (np.abs(e0) <= gamma_bar)", "pending > (np.abs(e0) < gamma_bar)"),
     )),
 )
 
