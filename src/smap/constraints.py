@@ -24,11 +24,6 @@ ZERO = "zero"
 CUSTOM = "custom"
 KINDS = (FIXED, SCCV, NOISE, ZERO, CUSTOM)
 
-# Absolute slack when validating constraint components against the
-# threshold.  Regularized steps leave posterior errors a hair outside the
-# band, and error-reusing strategies feed those back in as constraints.
-CV_BOUND_SLACK = 1e-8
-
 __all__ = [
     "ConstraintStrategy",
     "fixed_cv",
@@ -129,10 +124,8 @@ def make_cv(
             raise InvalidInputError(
                 f"noise window shape {cv.shape} does not match error shape {prior.shape}"
             )
-        if enforce_bound and not satisfies_bound(cv.ravel(), gamma_bar):
-            raise ConstraintBoundError(
-                f"scaled noise component {np.max(np.abs(cv)):.6g} exceeds threshold {gamma_bar:.6g}"
-            )
+        if enforce_bound:
+            require_in_band(cv, gamma_bar)
         return cv
     if strategy.kind == ZERO:
         return np.zeros(prior.shape)
@@ -153,3 +146,10 @@ def satisfies_bound(cv: np.ndarray, gamma_bar: float):
     """
     ok = np.abs(cv).max(axis=-1, initial=0.0) <= gamma_bar  # NaN if any component is
     return ok if ok.ndim else bool(ok)
+
+
+def require_in_band(cv: np.ndarray, gamma_bar: float) -> None:
+    """Raise ``ConstraintBoundError`` unless every component magnitude is at most ``gamma_bar``."""
+    if not satisfies_bound(cv.ravel(), gamma_bar):
+        raise ConstraintBoundError(f"constraint magnitude {float(np.abs(cv).max())!r} "
+                                   f"exceeds threshold {float(gamma_bar)!r}")

@@ -16,8 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from .constraints import CV_BOUND_SLACK, satisfies_bound
-from .errors import ConstraintBoundError, InvalidInputError, fits_array, in_range, integer
+from .constraints import require_in_band
+from .errors import InvalidInputError, fits_array, in_range, integer
 from .linalg import all_finite, gram, solve_spd
 
 __all__ = [
@@ -172,9 +172,8 @@ def smap_update(
         Tikhonov term added to the Gram matrix before solving.
     enforce_cv_bound : bool
         Reject constraint components with magnitude above ``gamma_bar``
-        plus ``CV_BOUND_SLACK`` (default).  The simulation harness
-        disables this for the noise-proportional strategy, which may
-        leave the band.
+        (default), on quiet steps too.  The simulation harness disables
+        this for the noise-proportional strategy, which may leave the band.
     prior : ndarray, optional
         ``error_vector(state, window)``, if the caller has it; only its shape is checked.
 
@@ -191,10 +190,8 @@ def smap_update(
         )
     e = _prior(state, window, prior)
     fires = indicator(e[0], gamma_bar)  # the gate checks gamma_bar, once per call
-    if enforce_cv_bound and not satisfies_bound(cv, float(gamma_bar) + CV_BOUND_SLACK):
-        raise ConstraintBoundError(
-            f"constraint magnitude {np.abs(cv).max():.6g} exceeds threshold {float(gamma_bar):.6g}"
-        )
+    if enforce_cv_bound:
+        require_in_band(cv, gamma_bar)
     if not fires:
         return state, UpdateOutcome(False, e)
     y = solve_spd(gram(window.X), e - cv, delta)

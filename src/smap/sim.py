@@ -18,7 +18,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .constraints import (
     CUSTOM,
-    CV_BOUND_SLACK,
     NOISE,
     ConstraintStrategy,
     fixed_cv,
@@ -538,8 +537,8 @@ def _lockstep_block(
             np.copyto(cv, 0.0, where=lag > np.reshape(steps, (-1, 1)))
         if relaxed:
             relaxations[sel] += ~satisfies_bound(cv, gamma_bar)
-        elif not ap and not satisfies_bound(cv.ravel(), gamma_bar + CV_BOUND_SLACK):
-            fail(rows, steps, ~satisfies_bound(cv, gamma_bar + CV_BOUND_SLACK))
+        elif not ap and not satisfies_bound(cv.ravel(), gamma_bar):
+            fail(rows, steps, ~satisfies_bound(cv, gamma_bar))
         # right-hand side j is b[:, :, j]; AP solves for e and scales the move
         b = np.array((ef if ap else ef - cv, nf, cv)).transpose(1, 2, 0)
         sols, singular = solve_spd_stack(G, b)

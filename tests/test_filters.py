@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smap.constrained_ls import ConstrainedLSProblem, solve_constrained
-from smap.constraints import CV_BOUND_SLACK, satisfies_bound
+from smap.constraints import make_cv, noise_cv, satisfies_bound
 from smap.errors import ConstraintBoundError, InvalidInputError, SingularSystemError
 from smap.filters import (
     DataWindow,
@@ -53,8 +53,6 @@ def test_cv_bound_rejects_nan_in_any_position(shape):
     # one vector goes through smap_update's check, a stack through the mask;
     # zero data keep the error in band, so only the bound is tested
     state, window = FilterState.zeros(4), DataWindow(np.eye(4), np.zeros(4))
-    bound = GAMMA + CV_BOUND_SLACK
-    edge = np.full(shape, GAMMA + 0.5 * CV_BOUND_SLACK)
     for index in np.ndindex(shape):
         cv = np.zeros(shape)
         cv[index] = np.nan
@@ -62,13 +60,24 @@ def test_cv_bound_rejects_nan_in_any_position(shape):
             with pytest.raises(ConstraintBoundError, match="constraint magnitude nan"):
                 smap_update(state, window, cv, GAMMA, enforce_cv_bound=True)
         else:
-            assert satisfies_bound(cv, bound).tolist() == [r != index[0] for r in range(shape[0])]
+            assert satisfies_bound(cv, GAMMA).tolist() == [r != index[0] for r in range(shape[0])]
+    # the band is |cv_j| <= gamma_bar exactly: one ulp past it is rejected
+    edge, past = np.full(shape, GAMMA), np.full(shape, np.nextafter(GAMMA, np.inf))
+    text = "constraint magnitude 0.22360000000000002 exceeds threshold 0.2236"
     if edge.ndim == 1:
         assert smap_update(state, window, edge, GAMMA, enforce_cv_bound=True)[0] is state
+        with pytest.raises(ConstraintBoundError) as exc:
+            smap_update(state, window, past, GAMMA, enforce_cv_bound=True)
+        assert str(exc.value) == text
     else:
-        assert satisfies_bound(edge, bound).all()
-    assert satisfies_bound(np.zeros(0), bound) is True  # an empty vector has nothing out of band
-    assert satisfies_bound(np.zeros((3, 0)), bound).all()
+        assert satisfies_bound(edge, GAMMA).all()
+        assert not satisfies_bound(past, GAMMA).any()
+    npt.assert_array_equal(make_cv(noise_cv(), np.zeros(shape), edge, GAMMA), edge)
+    with pytest.raises(ConstraintBoundError) as exc:  # the noise strategy's check, one text
+        make_cv(noise_cv(), np.zeros(shape), past, GAMMA)
+    assert str(exc.value) == text
+    assert satisfies_bound(np.zeros(0), GAMMA) is True  # an empty vector has nothing out of band
+    assert satisfies_bound(np.zeros((3, 0)), GAMMA).all()
 
 
 def test_window_validation():

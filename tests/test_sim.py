@@ -456,6 +456,16 @@ class TestRunSingle:
         with pytest.raises(SimulationError, match="iteration 0: Gram system is not positive"):
             run_single(config, SMAP, run_rng(0, 0))
 
+    @pytest.mark.parametrize("reuse", [1, 2, 5])
+    def test_a_warm_up_step_targets_every_lag_that_holds_data(self, reuse):
+        # at step k < L lags 0..k hold samples and take the strategy's target,
+        # and only the lags past k are padding held at 0: at a firing step 0,
+        # lag 0's posterior error lands on the fixed target, not on 0
+        config = ScenarioConfig(iterations=10, seed=3, reuse=reuse)
+        trace = run_single(config, SMAP, run_rng(3, 0))
+        assert trace.update_flags[0]
+        assert trace.max_abs_posterior[0] == pytest.approx(config.gamma_bar, rel=1e-9)
+
     def test_adversarial_strategy_keeps_identity_tight(self):
         # in-band but otherwise arbitrary targets, including during the
         # padded warm-up where the unused components must be masked
@@ -1017,6 +1027,27 @@ class TestMonteCarlo:
             run_monte_carlo(config, SMAP, 4)
         assert str(ensemble.value) == "run 1 (seed 3): iteration 6: boom"
 
+    def test_the_band_is_exact_in_both_engines(self):
+        # a rule aiming one ulp past the threshold fails at its first update,
+        # and one aiming at the threshold runs as the fixed strategy does
+        def aiming(target):
+            return custom_cv(lambda prior, noise_window, g: np.full(prior.size, target(g)))
+
+        config = ScenarioConfig(iterations=100, seed=3)
+        past = replace(config, cv_strategy=aiming(lambda g: np.nextafter(g, np.inf)))
+        text = "iteration 0: constraint magnitude 0.22360000000000002 exceeds threshold 0.2236"
+        with pytest.raises(SimulationError) as single:
+            run_single(past, SMAP, run_rng(3, 0))
+        assert str(single.value) == text
+        with pytest.raises(SimulationError) as ensemble:
+            run_monte_carlo(past, SMAP, 3)
+        assert str(ensemble.value) == f"run 0 (seed 3): {text}"
+        at = replace(config, cv_strategy=aiming(lambda g: g))
+        npt.assert_array_equal(run_single(at, SMAP, run_rng(3, 0)).misalignment,
+                               run_single(config, SMAP, run_rng(3, 0)).misalignment)
+        npt.assert_array_equal(run_monte_carlo(at, SMAP, 3).mse_curve,
+                               run_monte_carlo(config, SMAP, 3).mse_curve)
+
     def test_zero_energy_step_fails_as_in_run_single(self, monkeypatch):
         # a zero system and zero noise leave the baseline's first step with
         # neither misalignment nor noise energy, which local_check rejects
@@ -1109,6 +1140,56 @@ def test_no_parameter_choice_diverges_or_fools_the_energy_bound(scenario):
         assert failure is not None, f"no run fails alone, but: {err}"
         _, run, message = failure
         assert str(err) == f"run {run} (seed {config.seed}): {message}"
+
+
+def _outcome(drive, *args):
+    """What ``drive(*args)`` returns, or the type of the ``SmapError`` it raises and where."""
+    try:
+        return drive(*args)
+    except SmapError as err:
+        return type(err), re.findall(r"(?:run|seed|iteration) \d+", str(err))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(
+    case=st.sampled_from(["fixed", "sccv", "noise", "zero", "ap:0.9"]),
+    shape=st.sampled_from([(10, 2, 1e-12), (6, 0, 1e-3), (16, 4, 0.0)]),
+    j=st.sampled_from([j for j in range(-8, 9) if j]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(case="fixed", shape=(6, 0, 1e-3), j=-8, seed=0)
+@example(case="sccv", shape=(10, 2, 1e-12), j=8, seed=1)
+@example(case="fixed", shape=(16, 4, 0.0), j=-8, seed=51095)  # run 1 fails in both units
+def test_a_run_scales_exactly_with_its_units(case, shape, j, seed):
+    # scaling noise_variance by 4**j, gamma_bar by 2**j and delta by 4**j at
+    # one seed and SNR scales x, d and n by exactly 2**j: every w, the gate,
+    # the constraint targets relative to the band, and every energy term
+    # through the Gram solves stay the same to the bit
+    num_taps, reuse, delta = shape
+    kwargs = ENSEMBLE_CASES[case]
+    algorithm = AP if "ap_step" in kwargs else SMAP
+    base = ScenarioConfig(num_taps=num_taps, reuse=reuse, delta=delta, iterations=400,
+                          seed=seed, **kwargs)
+    scaled = replace(base, noise_variance=base.noise_variance * 4.0**j,
+                     gamma_bar=base.gamma_bar * 2.0**j, delta=delta * 4.0**j)
+    one, other = (_outcome(run_single, c, algorithm, run_rng(seed, 0)) for c in (base, scaled))
+    if isinstance(one, tuple) or isinstance(other, tuple):  # a run fails alike in both units
+        assert other == one
+    else:
+        npt.assert_array_equal(other.misalignment, one.misalignment)
+        npt.assert_array_equal(other.update_flags, one.update_flags)
+        assert other.local_records == tuple(one.local_records)
+        assert other.global_report == one.global_report
+        npt.assert_array_equal(other.errors, 2.0**j * one.errors)
+        npt.assert_array_equal(other.max_abs_posterior, 2.0**j * one.max_abs_posterior)
+    one, other = (_outcome(run_monte_carlo, c, algorithm, 5) for c in (base, scaled))
+    if isinstance(one, tuple) or isinstance(other, tuple):
+        assert other == one
+    else:
+        npt.assert_array_equal(other.update_rates, one.update_rates)
+        npt.assert_array_equal(other.violation_counts, one.violation_counts)
+        npt.assert_array_equal(other.cv_relaxations, one.cv_relaxations)
+        npt.assert_array_equal(other.mse_curve, 4.0**j * one.mse_curve)
 
 
 class TestSteadyState:

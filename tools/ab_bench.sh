@@ -13,8 +13,10 @@
 # median and quartiles, and how many pairs the change won per metric,
 # ties counting for neither side, with the direction each metric
 # improves in taken from BENCHMARK.json.  A gain holds when the change
-# wins at least nine tenths of the pairs and the medians differ by more
-# than the distance between the parent's quartiles.
+# wins at least nine tenths of at least ten pairs and the medians differ
+# by more than the distance between the parent's quartiles; a loss is the
+# same with the sides swapped.  Each metric's line ends in GAIN or LOSS
+# when one holds, and below ten pairs in "too few pairs for a verdict".
 #
 # Reads perfbench/ and BENCHMARK.json and writes nothing under the
 # repository; the temporary directory, with every run's raw output under
@@ -78,15 +80,23 @@ for name, direction in better.items():
     values = {side: [r["metrics"][name]["value"] for r in rs] for side, rs in runs.items()}
     sign = 1.0 if direction == "higher" else -1.0
     wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
+    losses = sum(sign * (c - p) < 0 for p, c in zip(values["parent"], values["change"]))
     q = {side: statistics.quantiles(v, n=4) if len(v) > 1 else v * 3 for side, v in values.items()}
     gap = statistics.median(values["change"]) - statistics.median(values["parent"])
     spread = q["parent"][2] - q["parent"][0]
-    gain = wins >= 0.9 * pairs and sign * gap > spread
+    if pairs < 10:
+        verdict = "  too few pairs for a verdict"
+    elif wins >= 0.9 * pairs and sign * gap > spread:
+        verdict = "  GAIN"
+    elif losses >= 0.9 * pairs and -sign * gap > spread:
+        verdict = "  LOSS"
+    else:
+        verdict = ""
     print(
         f"{name} ({direction} is better): "
         + "  ".join(f"{side} median {qs[1]:.6g} [{qs[0]:.6g}, {qs[2]:.6g}]" for side, qs in q.items())
         + f"  change won {wins}/{pairs}"
         + f"  median gap {gap:+.6g} ({gap / (q['parent'][1] or 1.0):+.1%}) vs parent IQR {spread:.6g}"
-        + ("  GAIN" if gain else "")
+        + verdict
     )
 EOF

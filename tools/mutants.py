@@ -60,8 +60,12 @@ CATALOGUE = (
         ("robustness.py", "rhs = 2.0 * float(cv @ sols[:, 1])",
          "rhs = 2.0 * abs(float(cv @ sols[:, 1]))"),
     )),
-    Mutant("padded-lag-mask-off-by-one", (
+    Mutant("padded-lag-mask-off-by-one", (  # in both engines, which agreement tests cannot see
         ("sim.py", "cv = np.where(lag <= k, cv, 0.0)", "cv = np.where(lag < k, cv, 0.0)"),
+        # as run_single masks: SM-AP only, and only while k < L (AP's padded lags are 0)
+        ("sim.py", "np.copyto(cv, 0.0, where=lag > np.reshape(steps, (-1, 1)))",
+         "ks = np.reshape(steps, (-1, 1)); "
+         "np.copyto(cv, 0.0, where=(lag > ks) | (lag == ks) & (ks < L) & (not ap))"),
     )),
     Mutant("ratio-denominator-without-w0", (
         ("robustness.py", "denominator = float(w_tilde_0_sq) + n_sum", "denominator = n_sum"),
@@ -96,6 +100,10 @@ CATALOGUE = (
         ("sim.py", "if indicator(e[0], config.gamma_bar):",
          "if indicator(e[-1], config.gamma_bar):"),
         ("filters.py", "fires = indicator(e[0], gamma_bar)", "fires = indicator(e[-1], gamma_bar)"),
+        # the ensemble's many-step loop (L >= 1; at L = 0 the oldest error is the newest):
+        # step i's window is e[:, h-1-i : h-1-i+L+1], so its oldest error is e[:, h-1-i+L]
+        ("sim.py", "fires = pending > (np.abs(e0) <= gamma_bar)",
+         "fires = pending > (np.abs(e[:, h - 1 + L : L - 1 : -1]) <= gamma_bar)"),
     )),
     Mutant("sccv-band-doubled", (
         ("constraints.py", "cv = np.minimum(np.maximum(prior, -gamma_bar), gamma_bar)",
@@ -128,6 +136,15 @@ CATALOGUE = (
         ("filters.py", "return abs(e0) > gamma_bar", "return abs(e0) >= gamma_bar"),
         ("sim.py", "(~(np.abs(e0) <= gamma_bar))", "(~(np.abs(e0) < gamma_bar))"),
         ("sim.py", "pending > (np.abs(e0) <= gamma_bar)", "pending > (np.abs(e0) < gamma_bar)"),
+    )),
+    # a band with the absolute slack it once had, and the ensemble's Gram with an absolute
+    # delta threshold, as checker-gram-without-small-delta puts one in the checker's
+    Mutant("band-takes-a-slack", (
+        ("constraints.py", "ok = np.abs(cv).max(axis=-1, initial=0.0) <= gamma_bar",
+         "ok = np.abs(cv).max(axis=-1, initial=0.0) <= gamma_bar + 1e-8"),
+    )),
+    Mutant("ensemble-gram-without-small-delta", (
+        ("sim.py", "if delta != 0.0:", "if delta >= 1e-6:"),
     )),
 )
 
