@@ -25,7 +25,7 @@ from .constraints import (
     satisfies_bound,
 )
 from .errors import SimulationError, SmapError, fits_array, in_range, integer, require
-from .filters import DataWindow, FilterState, ap_update, error_vector, indicator, smap_update
+from .filters import DataWindow, FilterState, ap_update, error_vector, smap_update
 from .filters import _unchecked_window
 from .linalg import _linear_filter, all_finite, solve_spd_stack
 from .robustness import (
@@ -334,9 +334,9 @@ def run_single(
     flags = np.zeros(K, dtype=bool)
     records: list[Optional[LocalRobustnessRecord]] = [None] * K  # updating steps' only
     relaxations = 0
-    zero_cv = np.zeros(L + 1)
+    zero_cv = np.zeros(L + 1)  # a quiet step's, which smap_update need not check
     lag = np.arange(L + 1)
-    relaxed = algorithm == SMAP and config.cv_strategy.kind == NOISE
+    relaxed = config.cv_strategy.kind == NOISE  # read on SM-AP steps only
     try:
         for k in range(K):
             s = K - 1 - k
@@ -349,21 +349,16 @@ def run_single(
                 cv = (1.0 - config.ap_step) * e
                 state, outcome = ap_update(prev, window, config.ap_step, config.delta, prior=e)
             else:
-                if indicator(e[0], config.gamma_bar):
-                    cv = make_cv(
-                        config.cv_strategy, e, window.n, config.gamma_bar,
-                        enforce_bound=False,
-                    )
+                cv = zero_cv
+                if fires := config.gamma_bar < abs(e[0]) < math.inf:  # inf, nan: smap_update raises
+                    cv = make_cv(config.cv_strategy, e, window.n, config.gamma_bar,
+                                 enforce_bound=False)
                     if k < L:
                         cv = np.where(lag <= k, cv, 0.0)
                     if relaxed and not satisfies_bound(cv, config.gamma_bar):
                         relaxations += 1
-                else:
-                    cv = zero_cv  # in band: smap_update need not check it
-                state, outcome = smap_update(
-                    prev, window, cv, config.gamma_bar, config.delta,
-                    enforce_cv_bound=not relaxed and cv is not zero_cv, prior=e,
-                )
+                state, outcome = smap_update(prev, window, cv, config.gamma_bar, config.delta,
+                                             enforce_cv_bound=fires and not relaxed, prior=e)
             flags[k] = updated = outcome.updated
             posterior[k] = outcome.posterior_errors
             if updated:

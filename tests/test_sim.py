@@ -14,6 +14,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh
 from scipy.signal import lfilter
 
 from smap import sim
@@ -821,19 +822,28 @@ class TestMonteCarlo:
             run_monte_carlo(config, SMAP, 3)
         assert str(ensemble.value) == f"run 1 (seed 4): {single.value}"
 
+    @pytest.mark.parametrize("rule", ["sccv", "guarded"])
     @pytest.mark.parametrize("reuse", [0, 2])
-    def test_prior_error_that_overflows_fails_as_in_run_single(self, monkeypatch, reuse):
+    def test_prior_error_that_overflows_fails_as_in_run_single(self, monkeypatch, reuse, rule):
         # a finite series: a spike at step 30 leaves the coefficients finite
         # but large, and the reference at step 31 sits at the most negative
-        # float, so the prior error d - x.w overflows to -inf at step 31
+        # float, so the prior error d - x.w overflows to -inf at step 31.
+        # The gate fails the run there, in either engine, before any rule is
+        # handed the error: the guarded rule would fail it with its own text.
         def spiked(config, w0, rng):
             x, d, n = generate_signals(config, w0, rng)
             if rng.bit_generator.seed_seq.spawn_key == (1,):
                 d[30], d[31] = 1e306, -np.finfo(float).max
             return x, d, n
 
+        def guarded(prior, noise_window, gamma_bar):
+            if not np.isfinite(prior[0]):
+                raise SimulationError("the rule saw a non-finite current error")
+            return np.clip(prior, -gamma_bar, gamma_bar)
+
         monkeypatch.setattr(sim, "generate_signals", spiked)
-        config = ScenarioConfig(iterations=100, seed=4, reuse=reuse, cv_strategy=sc_cv())
+        strategy = sc_cv() if rule == "sccv" else custom_cv(guarded)
+        config = ScenarioConfig(iterations=100, seed=4, reuse=reuse, cv_strategy=strategy)
         with np.errstate(over="ignore"), pytest.raises(SimulationError) as single:
             run_single(config, SMAP, run_rng(4, 1))
         assert str(single.value) == "iteration 31: current error must be finite, got -inf"
@@ -1190,6 +1200,77 @@ def test_a_run_scales_exactly_with_its_units(case, shape, j, seed):
         npt.assert_array_equal(other.violation_counts, one.violation_counts)
         npt.assert_array_equal(other.cv_relaxations, one.cv_relaxations)
         npt.assert_array_equal(other.mse_curve, 4.0**j * one.mse_curve)
+
+
+@pytest.mark.parametrize("rule", ["smap:0", "smap:1.5", "smap:2", "smap:2.5", "smap:3",
+                                  "ap:1", "ap:0.9", "ap:0.5"])
+@pytest.mark.parametrize("shape", [(4, 1, 1e-12, 3), (6, 2, 1e-3, 5), (8, 3, 1e-9, 5),
+                                   (4, 0, 1e-12, 5)],
+                         ids=lambda s: "N{}-L{}-delta{:g}-seed{}".format(*s))
+def test_the_global_bound_holds_over_every_disturbance(monkeypatch, shape, rule):
+    # AP at mu, and SM-AP with cv = s n while its gate fires (gamma_bar =
+    # 1e-300), are linear in z = (w~0, n_0 ... n_K-1) on fixed inputs, so
+    # the run's energy ratio is z'Az / z'Bz and its supremum over every
+    # disturbance is the largest generalized eigenvalue of (A, B), as in
+    # Hassibi, Sayed & Kailath (1996). The paper's bound of 1 holds while no
+    # step expands, s <= 2; beyond it the supremum is (s - 1)**2, reached at
+    # a small delta. AP stays within 1 at mu = 1 only.
+    num_taps, reuse, delta, seed = shape
+    kind, p, K = rule.split(":")[0], float(rule.split(":")[1]), 60
+    if kind == "smap":
+        algorithm, kwargs = SMAP, {"gamma_bar": 1e-300, "cv_strategy": noise_cv(p)}
+    else:
+        algorithm, kwargs = AP, {"ap_step": p}
+    config = ScenarioConfig(iterations=K, num_taps=num_taps, reuse=reuse, delta=delta,
+                            seed=seed, **kwargs)
+    rng = run_rng(seed, 0)
+    x, _, _ = generate_signals(config, generate_system(num_taps, rng), rng)
+
+    def quadratic_forms():
+        # w~_k, and each step's terms, as linear maps of z: one column per basis vector
+        dim = num_taps + K
+        wt, history = np.eye(num_taps, dim), np.concatenate((np.zeros(num_taps - 1), x))
+        A, B = np.zeros((dim, dim)), np.zeros((dim, dim))
+        B[:num_taps, :num_taps] = np.eye(num_taps)
+        for k in range(K):
+            X, n = np.zeros((num_taps, reuse + 1)), np.zeros((reuse + 1, dim))
+            for j in range(min(k, reuse) + 1):  # padded lags keep zero data and zero noise
+                X[:, j] = history[k - j : k - j + num_taps][::-1]
+                n[j, num_taps + k - j] = 1.0
+            gram = X.T @ X + delta * np.eye(reuse + 1)
+            clean = X.T @ wt
+            A += clean.T @ np.linalg.solve(gram, clean)
+            B += n.T @ np.linalg.solve(gram, n)
+            e = clean + n
+            wt = wt - X @ np.linalg.solve(gram, e - p * n if kind == "smap" else p * e)
+        return A + wt.T @ wt, B
+
+    bounded = kind == "smap" and p <= 2.0  # no step expands
+    values, vectors = eigh(*quadratic_forms())
+    worst, z = values[-1], vectors[:, -1]
+    if bounded:
+        assert worst <= 1.0 + 1e-9
+    elif kind == "smap":
+        assert worst <= (p - 1.0) ** 2 * (1.0 + 1e-9)
+        if delta == 1e-12:
+            assert worst == pytest.approx((p - 1.0) ** 2, rel=1e-9)
+    elif p == 1.0:
+        assert worst == pytest.approx(1.0, rel=1e-9)
+    else:
+        assert worst > 1.0 + 1e-3
+
+    # drive both engines on the worst disturbance, the reference formed as the filter reads it
+    monkeypatch.setattr(sim, "generate_system", lambda num_taps, rng: z[:num_taps].copy())
+    monkeypatch.setattr(sim, "generate_signals", lambda config, w0, rng: (
+        x.copy(), np.convolve(w0, x)[:K] + z[num_taps:], z[num_taps:].copy()))
+    report = run_single(config, algorithm, run_rng(seed, 0)).global_report
+    if bounded:  # the gate may stay shut on some steps, which the closed form does not model
+        assert report.ratio <= 1.0 + 1e-9
+    else:
+        assert report.ratio == pytest.approx(worst, rel=1e-9)
+    assert (report.condition_violations == 0) == (bounded or rule == "ap:1")
+    violations = run_monte_carlo(config, algorithm, 1).violation_counts
+    npt.assert_array_equal(violations, [report.condition_violations])
 
 
 class TestSteadyState:

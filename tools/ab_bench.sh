@@ -20,8 +20,9 @@
 #
 # Reads perfbench/ and BENCHMARK.json and writes nothing under the
 # repository; the temporary directory, with every run's raw output under
-# out/, is removed on exit.  Each run takes about 25 s, so ten pairs take
-# about nine minutes.
+# out/, is removed on exit, also when the script is stopped by TERM or INT,
+# which first stop the run in progress.  Each run takes about 25 s, so ten
+# pairs take about nine minutes.
 set -euo pipefail
 
 usage="usage: tools/ab_bench.sh REV WORKLOAD [PAIRS] [SEED]"
@@ -31,7 +32,29 @@ pairs=${3:-10}
 seed=${4:-1}
 root=$(git rev-parse --show-toplevel)
 tmp=$(mktemp -d)
-trap 'rm -rf "$tmp"' EXIT
+# Each child runs as a background job in a process group of its own (set -m) and
+# is waited for, so a TERM or INT ends the wait at once; the exit trap then stops
+# that group, the child and whatever it started, before it removes the directory.
+set -m
+job=
+stop() {
+    if [[ -n $job ]]; then
+        kill -TERM -- "-$job" 2>/dev/null || true
+        wait "$job" 2>/dev/null || true
+    fi
+    rm -rf "$tmp"
+}
+trap stop EXIT
+trap 'exit 143' TERM
+trap 'exit 130' INT
+
+# in_job CMD...: run CMD as that job, and wait for it
+in_job() {
+    "$@" &
+    job=$!
+    wait "$job"
+    job=
+}
 mkdir -p "$tmp/parent" "$tmp/change" "$tmp/out"
 git -C "$root" archive "$rev" src | tar -x -C "$tmp/parent"
 cp -R "$root/src" "$tmp/change/src"
@@ -47,9 +70,9 @@ run() {
 
 for ((i = 0; i < pairs; i++)); do
     if ((i % 2 == 0)); then
-        run parent "$i"; run change "$i"
+        in_job run parent "$i"; in_job run change "$i"
     else
-        run change "$i"; run parent "$i"
+        in_job run change "$i"; in_job run parent "$i"
     fi
     echo "pair $((i + 1))/$pairs done" >&2
 done

@@ -3,26 +3,50 @@
 #
 #   tools/diff_outputs.sh REV
 #
-# Exports REV into a temporary directory, runs the same smap commands
-# in both trees with the same --out-dir names, and compares trace.csv,
-# summary.txt, mse.csv and each command's stdout, stderr and exit status
-# with diff -r, so a command that fails is compared too.  Each command runs
-# under -W error::RuntimeWarning, as the test suite does, so a command that
-# starts to warn shows up as a difference.  Exits nonzero on any difference.
-# The directory is removed on exit.  The commands are those whose digests
-# tests/test_golden.py pins, a few more (among them the first chunk of each
-# perfbench workload, and three whose tables span several of the blocks the
-# writer formats at a time, one of them with blocks that open on quiet rows),
-# and some the library rejects, whose usage errors are then compared too, among
-# them plans that name one configuration under two spellings, a value outside
-# each parameter's range, strategies that --cv does not offer, and two
-# configurations with two faults each, which show which field is blamed first.
+# Exports REV into a temporary directory, runs the same smap commands in both
+# trees with the same --out-dir names, and compares trace.csv, summary.txt,
+# mse.csv and each command's stdout, stderr and exit status with diff -r, so a
+# command that fails is compared too.  Each command runs under -W
+# error::RuntimeWarning, as the test suite does, so a command that starts to
+# warn shows up as a difference.  Exits nonzero on any difference.  The
+# directory is removed on exit, also when the script is stopped by TERM or
+# INT, which first stop the command in progress.  The commands are those whose
+# digests tests/test_golden.py pins, a few more (among them the first chunk of
+# each perfbench workload, and three whose tables span several of the blocks
+# the writer formats at a time, one of them with blocks that open on quiet
+# rows), and some the library rejects, whose usage errors are then compared
+# too, among them plans that name one configuration under two spellings, a
+# value outside each parameter's range, strategies that --cv does not offer,
+# and two configurations with two faults each, which show which field is
+# blamed first.
 set -euo pipefail
 
 rev=${1:?usage: tools/diff_outputs.sh REV}
 root=$(git rev-parse --show-toplevel)
 tmp=$(mktemp -d)
-trap 'rm -rf "$tmp"' EXIT
+# Each child runs as a background job in a process group of its own (set -m) and
+# is waited for, so a TERM or INT ends the wait at once; the exit trap then stops
+# that group, the child and whatever it started, before it removes the directory.
+set -m
+job=
+stop() {
+    if [[ -n $job ]]; then
+        kill -TERM -- "-$job" 2>/dev/null || true
+        wait "$job" 2>/dev/null || true
+    fi
+    rm -rf "$tmp"
+}
+trap stop EXIT
+trap 'exit 143' TERM
+trap 'exit 130' INT
+
+# in_job CMD...: run CMD as that job, and wait for it
+in_job() {
+    "$@" &
+    job=$!
+    wait "$job"
+    job=
+}
 mkdir "$tmp/base"
 git -C "$root" archive "$rev" src | tar -x -C "$tmp/base"
 
@@ -117,8 +141,8 @@ run_all() {
     rm -f stderr
 }
 
-(run_all "$tmp/base" "$tmp/out/base")
-(run_all "$root" "$tmp/out/worktree")
+in_job run_all "$tmp/base" "$tmp/out/base"
+in_job run_all "$root" "$tmp/out/worktree"
 cd "$tmp/out"
 diff -r base worktree
 echo "no difference in ${#commands[@]} commands against $rev"

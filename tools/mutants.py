@@ -18,8 +18,9 @@ Prints, per mutant, the tests that fail on it (that kill it), or SURVIVED,
 or "not applicable" when one of its old texts is not in its file exactly
 once; then the kill count and each survivor.  Exits 1 if the unmutated copy fails a test.
 Writes nothing in the repository; the temporary directory is removed on
-exit.  A run takes about 40 s per mutant on 2 vCPU, so this stays out of
-Tier-1.
+exit, also on TERM or INT, which first stop the pytest child and whatever
+it started.  A run takes about 40 s per mutant on 2 vCPU, so this stays
+out of Tier-1.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from __future__ import annotations
 import argparse
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -97,8 +99,8 @@ CATALOGUE = (
          "if False:"),
     )),
     Mutant("gate-on-the-oldest-error", (  # e[-1], not e[1]: at L = 0 the window holds one error
-        ("sim.py", "if indicator(e[0], config.gamma_bar):",
-         "if indicator(e[-1], config.gamma_bar):"),
+        ("sim.py", "config.gamma_bar < abs(e[0]) < math.inf",
+         "config.gamma_bar < abs(e[-1]) < math.inf"),
         ("filters.py", "fires = indicator(e[0], gamma_bar)", "fires = indicator(e[-1], gamma_bar)"),
         # the ensemble's many-step loop (L >= 1; at L = 0 the oldest error is the newest):
         # step i's window is e[:, h-1-i : h-1-i+L+1], so its oldest error is e[:, h-1-i+L]
@@ -134,6 +136,7 @@ CATALOGUE = (
     )),
     Mutant("gate-at-the-threshold-in-both-engines", (
         ("filters.py", "return abs(e0) > gamma_bar", "return abs(e0) >= gamma_bar"),
+        ("sim.py", "config.gamma_bar < abs(e[0])", "config.gamma_bar <= abs(e[0])"),
         ("sim.py", "(~(np.abs(e0) <= gamma_bar))", "(~(np.abs(e0) < gamma_bar))"),
         ("sim.py", "pending > (np.abs(e0) <= gamma_bar)", "pending > (np.abs(e0) < gamma_bar)"),
     )),
@@ -145,6 +148,10 @@ CATALOGUE = (
     )),
     Mutant("ensemble-gram-without-small-delta", (
         ("sim.py", "if delta != 0.0:", "if delta >= 1e-6:"),
+    )),
+    # run_single's own gate letting a non-finite error through to the constraint rule
+    Mutant("scalar-gate-takes-non-finite-errors", (
+        ("sim.py", "config.gamma_bar < abs(e[0]) < math.inf", "config.gamma_bar < abs(e[0])"),
     )),
 )
 
@@ -189,23 +196,35 @@ def failing_tests(tree: Path) -> tuple[list[str], str]:
                "--continue-on-collection-errors", *(f"--ignore={path}" for path in EXCLUDED)]
     # no bytecode cache: a restored file may match a mutant's size and mtime to the second
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-    try:
-        done = subprocess.run(command, cwd=tree, env=env, capture_output=True, text=True,
-                              timeout=TIMEOUT_S)
-    except subprocess.TimeoutExpired:
-        return ["(the suite timed out)"], f"timed out after {TIMEOUT_S} s"
-    lines = done.stdout.splitlines()
+    # in a process group of its own, so that stopping it stops whatever its tests started
+    with subprocess.Popen(command, cwd=tree, env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True, start_new_session=True) as child:
+        try:
+            stdout, stderr = child.communicate(timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return ["(the suite timed out)"], f"timed out after {TIMEOUT_S} s"
+        finally:  # on a timeout, or on the SystemExit of a TERM or INT
+            if child.returncode is None:  # not yet reaped, so its group id is still its own
+                os.killpg(child.pid, signal.SIGKILL)
+    lines = stdout.splitlines()
     failed = [line.split(" ", 1)[1].split(" - ", 1)[0]
               for line in lines if line.startswith(("FAILED ", "ERROR "))]
-    if done.returncode not in (0, 1) and not failed:  # collection or usage error
-        failed = [f"(pytest exited {done.returncode})"]
-    return failed, lines[-1] if lines else done.stderr.strip()
+    if child.returncode not in (0, 1) and not failed:  # collection or usage error
+        failed = [f"(pytest exited {child.returncode})"]
+    return failed, lines[-1] if lines else stderr.strip()
+
+
+def stop(signum: int, frame) -> None:
+    """End the run by SystemExit, so that the child is stopped and the directory removed."""
+    raise SystemExit(128 + signum)
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--rev", help="test this revision instead of the working tree")
     args = parser.parse_args()
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        signal.signal(signum, stop)
 
     with tempfile.TemporaryDirectory(prefix="smap-mutants-") as tmp:
         tree = Path(tmp)
