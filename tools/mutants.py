@@ -9,34 +9,29 @@ replaces one literal text, which must occur exactly once, in a file under
 with ``git archive``; its ``src/``, ``tests/`` and ``pyproject.toml`` are
 copied into a temporary directory.  There the unmutated copy runs first,
 then each mutant in turn.  Each run is one pytest process over Tier-1
-without ``tests/test_golden.py`` and ``tests/test_benchmark_contract.py``,
-which pin bytes and the benchmark's self-test rather than meaning, so only
-semantic checks count.  Mutants run one after another; no process pool is
-started.
+without the files in ``EXCLUDED``, so only semantic checks count.  Mutants
+run one after another; no process pool is started.
 
 Prints, per mutant, the tests that fail on it (that kill it), or SURVIVED,
 or "not applicable" when one of its old texts is not in its file exactly
 once; then the kill count and each survivor.  Exits 1 if the unmutated copy fails a test.
-Writes nothing in the repository; the temporary directory is removed on
-exit, also on TERM or INT, which first stop the pytest child and whatever
-it started.  A run takes about 40 s per mutant on 2 vCPU, so this stays
-out of Tier-1.
+Writes nothing in the repository.  A run takes about 40 s per mutant on
+2 vCPU, so this stays out of Tier-1.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
-import shutil
-import signal
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 from typing import NamedTuple
 
-ROOT = Path(__file__).resolve().parent.parent
-EXCLUDED = ("tests/test_golden.py", "tests/test_benchmark_contract.py")
+import trees
+
+# pinned bytes, the benchmark's self-test, and the tools (not in the copy): not meaning
+EXCLUDED = ("tests/test_golden.py", "tests/test_benchmark_contract.py", "tests/test_tools.py")
 TIMEOUT_S = 900  # a mutant that makes the suite hang counts as killed
 
 
@@ -156,23 +151,6 @@ CATALOGUE = (
 )
 
 
-def copy_tree(rev: str | None, dest: Path) -> None:
-    """Copy ``src/``, ``tests/`` and ``pyproject.toml`` of REV, or of the working tree, to ``dest``."""
-    parts = ("src", "tests", "pyproject.toml")
-    if rev is None:
-        skip = shutil.ignore_patterns("__pycache__")
-        for part in parts:
-            source = ROOT / part
-            if source.is_dir():
-                shutil.copytree(source, dest / part, ignore=skip)
-            else:
-                shutil.copy2(source, dest / part)
-        return
-    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, *parts],
-                             check=True, capture_output=True).stdout
-    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
-
-
 def mutate(tree: Path, mutant: Mutant) -> dict[Path, str] | str:
     """Make ``mutant``'s edits in ``tree`` and return each edited file's original text; or,
     writing nothing, say why it does not apply: an edit's old text is not there exactly once."""
@@ -196,39 +174,26 @@ def failing_tests(tree: Path) -> tuple[list[str], str]:
                "--continue-on-collection-errors", *(f"--ignore={path}" for path in EXCLUDED)]
     # no bytecode cache: a restored file may match a mutant's size and mtime to the second
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-    # in a process group of its own, so that stopping it stops whatever its tests started
-    with subprocess.Popen(command, cwd=tree, env=env, stdout=subprocess.PIPE,
-                          stderr=subprocess.PIPE, text=True, start_new_session=True) as child:
-        try:
-            stdout, stderr = child.communicate(timeout=TIMEOUT_S)
-        except subprocess.TimeoutExpired:
-            return ["(the suite timed out)"], f"timed out after {TIMEOUT_S} s"
-        finally:  # on a timeout, or on the SystemExit of a TERM or INT
-            if child.returncode is None:  # not yet reaped, so its group id is still its own
-                os.killpg(child.pid, signal.SIGKILL)
-    lines = stdout.splitlines()
+    try:
+        child = trees.run(command, timeout=TIMEOUT_S, cwd=tree, env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    except subprocess.TimeoutExpired:
+        return ["(the suite timed out)"], f"timed out after {TIMEOUT_S} s"
+    lines = child.stdout.splitlines()
     failed = [line.split(" ", 1)[1].split(" - ", 1)[0]
               for line in lines if line.startswith(("FAILED ", "ERROR "))]
     if child.returncode not in (0, 1) and not failed:  # collection or usage error
         failed = [f"(pytest exited {child.returncode})"]
-    return failed, lines[-1] if lines else stderr.strip()
-
-
-def stop(signum: int, frame) -> None:
-    """End the run by SystemExit, so that the child is stopped and the directory removed."""
-    raise SystemExit(128 + signum)
+    return failed, lines[-1] if lines else child.stderr.strip()
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--rev", help="test this revision instead of the working tree")
     args = parser.parse_args()
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        signal.signal(signum, stop)
 
-    with tempfile.TemporaryDirectory(prefix="smap-mutants-") as tmp:
-        tree = Path(tmp)
-        copy_tree(args.rev, tree)
+    with trees.workspace("smap-mutants-") as tree:
+        trees.copy_tree(args.rev, tree, ("src", "tests", "pyproject.toml"))
         failed, last = failing_tests(tree)
         print(f"unmutated: {last}", flush=True)
         if failed:
