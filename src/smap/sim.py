@@ -45,10 +45,10 @@ AP = "ap"
 _CAL_SAMPLES = 10_000  # warm stretch used for the one-shot power calibration
 _CAL_SKIP = 500  # transient discarded before measuring
 
-# Runs that run_monte_carlo steps together, and time steps per chunk of such
-# a block.  Each run of a block holds its padded input, reference and noise
-# series, so peak memory grows with _BLOCK_RUNS * iterations, not with the
-# run count; a chunk's Gram matrices and log, with _BLOCK_RUNS * _CHUNK_STEPS.
+# Runs that run_monte_carlo steps together, and steps per chunk: a round's
+# lookahead, or a stretch of one-step rounds.  A block holds each run's
+# padded series, so peak memory grows with _BLOCK_RUNS * iterations, not the
+# run count; chunk Grams and the energy log, with _BLOCK_RUNS * _CHUNK_STEPS.
 _BLOCK_RUNS = 64
 _CHUNK_STEPS = 64
 
@@ -406,19 +406,19 @@ def run_monte_carlo(config: ScenarioConfig, algorithm: str, runs: int) -> MonteC
     raised as ``run r (seed s): iteration k: ...`` from the same cause.
 
     The runs are advanced together, in blocks of ``_BLOCK_RUNS``, so
-    peak memory grows with the block, not with ``runs``.  A block walks
-    time in chunks of ``_CHUNK_STEPS`` steps.  One stacked product builds
-    the regularized Gram matrices of every run and step of a chunk.  The
-    chunk goes in rounds: in each, every run whose gate fires next takes
-    one firing step, stacked over those runs, whose one Cholesky
-    factorization serves both the update and the energy check.  For
-    SM-AP with ``reuse >= 1`` each run keeps its own step: one product
-    gives its prior errors up to the chunk's end, and it jumps to its
-    next firing step, so rounds follow updates, not samples.  AP fires
-    on every step, and at ``reuse == 0`` a product over several steps
-    rounds unlike ``run_single``'s, so both advance one step per round.
-    The energy terms, which never feed back into the recursion, are
-    folded in one pass at the end of the chunk.
+    peak memory grows with the block, not with ``runs``.  A block goes in
+    rounds: in each, every run whose gate fires next takes one firing
+    step, stacked over those runs, whose one Cholesky factorization serves
+    both the update and the energy check.  For SM-AP with ``reuse >= 1``
+    each run keeps its own step across the block: a round takes its prior
+    errors over the next ``_CHUNK_STEPS`` steps in one product and moves
+    it to its first firing step among them, or past them, so the rounds
+    follow the busiest run's updates, not samples.  AP fires on every
+    step, and at ``reuse == 0`` a product over several steps rounds unlike
+    ``run_single``'s, so both advance every run one step per round, over
+    chunks of ``_CHUNK_STEPS`` steps whose Gram matrices one stacked
+    product builds.  The energy terms, which never feed back into the
+    recursion, are folded in one pass every ``_CHUNK_STEPS`` rounds.
 
     Both engines read the runs' data from one store, so products go
     through the same numpy loops as in ``run_single`` at every filter
@@ -469,31 +469,34 @@ def _lockstep_block(
     """
     K, N, L = config.iterations, config.num_taps, config.reuse
     gamma_bar, delta, strategy = config.gamma_bar, config.delta, config.cv_strategy
-    R, m = stop - first, L + 1
+    R, m, h = stop - first, L + 1, _CHUNK_STEPS
     ap = algorithm == AP
     relaxed = not ap and strategy.kind == NOISE
     updates, violations, relaxations = counts
     w0, xs, ds, ns, bad = _series(config, [run_rng(config.seed, r) for r in range(first, stop)])
     for a in (xs, ds, ns):  # only at or after a run's step bad, where it stops and is replayed
         a[~np.isfinite(a)] = 0.0
+    xs, ds = (np.concatenate((np.zeros((R, h)), a), axis=1) for a in (xs, ds))
     # Products are taken over strided windows of the store, or of segments
     # gathered from it and windowed alike, never over contiguous copies:
     # numpy then runs the same unblocked loops as it does on run_single's
     # windows, so that, with solve_spd's LAPACK calls for the solves, each
     # run follows run_single's trajectory to the bit.
     # At step k = K-1-s, run r's input and noise windows are xwin[r, s]
-    # and nwin[r, s], and segments[r, s] holds the inputs of xwin[r, s].
-    # Chunk column c of the chunk views belongs to step k1-1-c.
-    inputs = sliding_window_view(xs, N, axis=1)
+    # and nwin[r, s], and xseg[r, s] holds the inputs of xwin[r, s].  Its
+    # newest input and reference are xs[r, h+s] and ds[r, h+s], behind h
+    # zeros that a span reaching past step K-1 reads.
+    inputs = sliding_window_view(xs[:, h:], N, axis=1)
     xwin = sliding_window_view(inputs, m, axis=1).transpose(0, 1, 3, 2)
     nwin = sliding_window_view(ns, m, axis=1)
-    segments = sliding_window_view(xs, m + N - 1, axis=1)
+    xseg = sliding_window_view(xs[:, h:], m + N - 1, axis=1)
     every, lag = np.arange(R), np.arange(m)
-    tri = np.arange(_CHUNK_STEPS) >= np.arange(_CHUNK_STEPS + 1)[:, None]  # tri[d, i] = i >= d
+    ridge = delta * np.eye(m)
     w = np.zeros((R, N))
-    errors = np.empty((K, R))
+    errors = np.empty((R, h + K))  # run r's step K-1-s at [r, h+s], as in xs
     noise_energy = np.zeros(R)
     kfail = int(bad.min())  # the first failing step found so far; bad[r] = K: zero denominator
+    log = []  # (steps, rows, noise windows, cv, solutions, coefficients before) per round
 
     def fail(rows: np.ndarray, steps, failing: np.ndarray) -> None:
         """Fold runs ``rows[failing]``, at step ``steps`` or ``steps[failing]``, into ``bad``."""
@@ -501,19 +504,22 @@ def _lockstep_block(
         np.minimum.at(bad, rows[failing], np.broadcast_to(steps, rows.shape)[failing])
         kfail = int(bad.min())
 
-    def fire(rows: np.ndarray, c, ef: np.ndarray) -> None:
-        """One firing step for runs ``rows``, each at its chunk column ``c``."""
+    def gram(X: np.ndarray) -> np.ndarray:
+        """The regularized Gram matrices ``X Xᵀ + δI`` of a stack of windows ``X``."""
+        G = X @ X.swapaxes(-1, -2)
+        if delta != 0.0:
+            G += ridge
+        return G
+
+    def windows(a: np.ndarray, count: int, size: int = N) -> np.ndarray:
+        """The first ``count`` windows of ``size`` entries of each row of a gathered ``a``,
+        strided as ``inputs`` is: products then take the same loops as over the store."""
+        return np.ndarray((len(a), count, size), float, a, 0, (a.strides[0], 8, 8))
+
+    def fire(rows: np.ndarray, steps, ef: np.ndarray, nf, G, Xt) -> None:
+        """One firing step for runs ``rows``, at step ``steps`` or ``steps[i]``."""
         nonlocal w
-        steps = k1 - 1 - c
-        if rows.size == R and isinstance(c, int):  # every run at one step: views
-            s = c + K - k1
-            sel, nf, G, Xt = slice(None), nwin[:, s], grams[:, c], xwin[:, s]
-        else:
-            sel, g = rows, pack[rows, c]
-            nf, G = g[:, :m], g[:, m : m + m * m].reshape(-1, m, m)
-            # the input segment, windowed as inputs is: the move then takes
-            # the same loop as over the store, where a copy would go to BLAS
-            Xt = np.ndarray((rows.size, m, N), g.dtype, g, 8 * m * (m + 1), (g.strides[0], 8, 8))
+        sel = slice(None) if rows.size == R else rows
         if not ap and not all_finite(ef):  # the gate's check; AP has no gate
             fail(rows, steps, ~np.isfinite(ef[:, 0]))
             ef = np.where(np.isfinite(ef[:, :1]), ef, 0.0)  # keeps a failed run's move finite
@@ -528,7 +534,7 @@ def _lockstep_block(
                     cv[i] = np.nan
         else:
             cv = make_cv(strategy, ef, nf, gamma_bar, enforce_bound=False)
-        if k0 < L:  # padded lags stay neutral, as in run_single
+        if k0 < L:  # padded lags stay neutral, as in run_single; k0 <= every step here
             np.copyto(cv, 0.0, where=lag > np.reshape(steps, (-1, 1)))
         if relaxed:
             relaxations[sel] += ~satisfies_bound(cv, gamma_bar)
@@ -551,74 +557,88 @@ def _lockstep_block(
             w = w_new
         else:
             w[rows] = w_new
+        if len(log) == h:  # at most as many steps as a chunk of all runs has
+            fold()
 
-    for k0 in range(0, K, _CHUNK_STEPS):
-        k1 = min(K, k0 + _CHUNK_STEPS)
-        C = k1 - k0
-        cols = slice(K - k1, K - k0)
-        chunk, xc, dc = xwin[:, cols], inputs[:, K - k1 :], ds[:, K - k1 :]
-        grams = chunk @ chunk.transpose(0, 1, 3, 2)
-        if delta != 0.0:
-            grams += delta * np.eye(m)
-        # one gather of a column serves a firing step: noise, Gram matrix, inputs
-        pack = np.concatenate((nwin[:, cols], grams.reshape(R, C, -1), segments[:, cols]), axis=2)
-        log = []  # (steps, rows, noise windows, cv, solutions, coefficients before)
-        if ap or L == 0:
-            # AP fires on every step, and at L = 0 a product over several
-            # steps rounds unlike the step's own: one step per round
-            for c in range(C - 1, -1, -1):
+    def fold() -> None:
+        """Fold the logged energy terms, which never feed back into the recursion, and
+        empty the log; each block folds its last ones before any failure is replayed."""
+        nonlocal updates, violations, noise_energy  # added to in place
+        steps, hits, nfs, cvs, solss, befores = zip(*log)
+        log.clear()
+        hit, nf, cv, sols = map(np.concatenate, (hits, nfs, cvs, solss))
+        noise_quad = np.einsum("ij,ij->i", nf, sols[:, :, 1])
+        lhs = np.einsum("ij,ij->i", cv, sols[:, :, 2])
+        rhs = 2.0 * np.einsum("ij,ij->i", cv, sols[:, :, 1])
+        updates += np.bincount(hit, minlength=R)
+        violations += np.bincount(hit[expands(lhs, rhs)], minlength=R)
+        noise_energy += np.bincount(hit, noise_quad, R)
+        # local_check's last test: g2 = misalignment + noise term may vanish
+        if not noise_quad.all():
+            wt = w0[hit] - np.concatenate(befores)
+            steps = np.concatenate([np.broadcast_to(k, r.shape) for k, r in zip(steps, hits)])
+            fail(hit, steps, (noise_quad == 0.0) & (np.einsum("ij,ij->i", wt, wt) == 0.0))
+
+    if ap or L == 0:
+        # AP fires on every step, and at L = 0 a product over several steps
+        # rounds unlike the step's own: one step per round, in chunks whose
+        # Gram matrices one stacked product builds.  Chunk column c of the
+        # chunk views belongs to step k0+C-1-c.
+        for k0 in range(0, K, h):
+            k1 = min(K, k0 + h)
+            chunk, dc = xwin[:, K - k1 : K - k0], ds[:, h + K - k1 :]
+            grams = gram(chunk)
+            for c in range(k1 - k0 - 1, -1, -1):
+                k = k1 - 1 - c
                 e = dc[:, c : c + m] - (chunk[:, c] @ w[:, :, None])[:, :, 0]
-                errors[k1 - 1 - c] = e0 = e[:, 0]
+                errors[:, h + K - 1 - k] = e0 = e[:, 0]
                 rows = every if ap else (~(np.abs(e0) <= gamma_bar)).nonzero()[0]
-                if rows.size:
-                    fire(rows, c, e if rows.size == R else e[rows])
-                if kfail <= k1 - 1 - c:  # every run is checked up to the first failure
+                if rows.size == R:  # every run at one step: views
+                    fire(rows, k, e, nwin[:, K - 1 - k], grams[:, c], chunk[:, c])
+                elif rows.size:
+                    Xt = windows(xseg[rows, K - 1 - k], m)
+                    fire(rows, k, e[rows], nwin[rows, K - 1 - k], grams[rows, c], Xt)
+                if kfail <= k:  # every run is checked up to the first failure
                     break
-        else:
-            # Each run keeps its own step.  A round takes every run's prior
-            # errors from its step on in one product under its present w,
-            # records them up to its next step whose gate fires or must
-            # reject a non-finite error, and fires it there.  Rounds end at
-            # the first failing step: a failed run's next step is past it.
-            at = np.zeros(R, dtype=np.intp)  # each run's next step, counted from k0
-            while (p := int(at.min())) < (end := min(C, kfail - k0 + 1)):
-                h, a = end - p, C - end  # steps k0+p to k0+end-1 are columns a+h-1 to a
-                e = dc[:, a : a + h + L] - (xc[:, a : a + h + L] @ w[:, :, None])[:, :, 0]
-                e0 = e[:, h - 1 :: -1]  # e0[:, i] is step k0+p+i's
-                pending = tri[at - p, :h]
-                np.copyto(errors[k0 + p : k0 + end].T, e0, where=pending)
-                fires = pending > (np.abs(e0) <= gamma_bar)
-                rows = fires.any(axis=1).nonzero()[0]
-                q = h - 1 - fires.argmax(axis=1)[rows]
-                at.fill(end)  # a run that does not fire is done, up to end
-                at[rows] = end - q
-                if rows.size:
-                    lags = np.ndarray((R, h, m), buffer=e, strides=(e.strides[0], 8, 8))
-                    fire(rows, a + q, lags[rows, q])
-        if log:
-            # The energy terms never feed back into the recursion, so each
-            # chunk folds them in one pass, before any failure is replayed.
-            steps, hits, nfs, cvs, solss, befores = zip(*log)
-            hit, nf, cv, sols = map(np.concatenate, (hits, nfs, cvs, solss))
-            noise_quad = np.einsum("ij,ij->i", nf, sols[:, :, 1])
-            lhs = np.einsum("ij,ij->i", cv, sols[:, :, 2])
-            rhs = 2.0 * np.einsum("ij,ij->i", cv, sols[:, :, 1])
-            updates += np.bincount(hit, minlength=R)
-            violations += np.bincount(hit[expands(lhs, rhs)], minlength=R)
-            noise_energy += np.bincount(hit, noise_quad, R)
-            # local_check's last test: g2 = misalignment + noise term may vanish
-            if not noise_quad.all():
-                wt = w0[hit] - np.concatenate(befores)
-                steps = np.concatenate([np.broadcast_to(k, r.shape) for k, r in zip(steps, hits)])
-                fail(hit, steps, (noise_quad == 0.0) & (np.einsum("ij,ij->i", wt, wt) == 0.0))
-        if kfail < k1:
-            break
+            if kfail < k1:
+                break
+    else:
+        # Each run keeps its own step across the block.  A round takes every
+        # run's prior errors over the h steps from its step, under its present
+        # w, and fires the first whose gate fires or must reject a non-finite
+        # error, or moves the run past them; runs stop at the first failing
+        # step found so far.  Column j of a span's inputs, references and
+        # errors holds step at+h-1-j, and the span starts at column K-at.
+        at = np.zeros(R, dtype=np.intp)  # each run's next step, at most K
+        xspan = sliding_window_view(xs, h + L + N - 1, axis=1)
+        dspan = sliding_window_view(ds, h + L, axis=1)
+        espan = sliding_window_view(errors, h, axis=1, writeable=True)
+        while (k0 := int(at.min())) < (limit := min(K, kfail + 1)):
+            start = K - at
+            e = dspan[every, start] - (windows(xspan[every, start], h + L) @ w[:, :, None])[:, :, 0]
+            espan[every, start] = e[:, :h]
+            e0 = e[:, h - 1 :: -1]  # e0[:, i] is step at+i's
+            fires = ~(np.abs(e0) <= gamma_bar)
+            if near := int(at.max()) > limit - h:  # a span reaches limit: not the steps from there
+                fires &= np.arange(h) < (limit - at)[:, None]
+            rows = fires.any(axis=1).nonzero()[0]
+            q = h - 1 - fires.argmax(axis=1)[rows]  # the first firing step's column
+            at += h  # past the span, or past the firing step
+            at[rows] -= q
+            if near:
+                np.minimum(at, K, out=at)
+            if rows.size:
+                s = K - at[rows]  # the firing steps' store columns
+                Xt = windows(xseg[rows, s], m)
+                fire(rows, K - 1 - s, windows(e, h, m)[rows, q], nwin[rows, s], gram(Xt), Xt)
+    if log:
+        fold()
     fail(every, K, np.einsum("ij,ij->i", w0, w0) + noise_energy == 0.0)  # the denominators
     if kfail <= K:  # the lowest failing run at the first failing step
         _replay(config, algorithm, first + int(bad.argmin()), kfail)
-    squared = errors**2
+    squared = errors[:, h:][:, ::-1] ** 2  # in step order
     for r in range(R):
-        mse += squared[:, r]
+        mse += squared[r]
 
 
 def _replay(config: ScenarioConfig, algorithm: str, run: int, step: int) -> NoReturn:

@@ -733,7 +733,10 @@ class TestMonteCarlo:
 
     def test_sparse_ensemble_solves_per_update_not_per_step(self, monkeypatch):
         # each solve call serves one firing step of every run whose gate
-        # fires next, so a sparse ensemble needs far fewer calls than steps
+        # fires next, and each run keeps its own step across the block, so
+        # the calls number at most the busiest run's updates, one quiet
+        # round per lookahead and one more; waiting for every run at each
+        # chunk seam costs more rounds than that on this ensemble
         calls = []
         solve = sim.solve_spd_stack
 
@@ -744,7 +747,48 @@ class TestMonteCarlo:
         monkeypatch.setattr(sim, "solve_spd_stack", spy)
         config = ScenarioConfig(iterations=1000, seed=0, cv_strategy=sc_cv())
         _assert_lockstep_matches_run_single(config, SMAP, 8)
-        assert 0 < len(calls) <= 0.3 * config.iterations
+        busiest = max(run_single(config, SMAP, run_rng(0, r)).update_flags.sum() for r in range(8))
+        assert 0 < len(calls) <= busiest + math.ceil(config.iterations / sim._CHUNK_STEPS) + 1
+
+    @pytest.mark.parametrize("chunk", [7, 64])
+    def test_runs_drifting_apart_fail_and_agree_as_in_run_single(self, monkeypatch, chunk):
+        # Run 0's reference is zero, so it never fires and crosses a whole
+        # lookahead each round; run 1's is offset, so it fires densely.  Run
+        # 0 meets its spike at step 200 while run 1, more than one lookahead
+        # behind, has yet to meet its own at step 100.  The ensemble must
+        # name run 1, stop there, and without spikes follow run_single.
+        def drifting(spikes):
+            def signals(config, w0, rng):
+                x, d, n = generate_signals(config, w0, rng)
+                run = rng.bit_generator.seed_seq.spawn_key[0]
+                d = np.zeros_like(d) if run == 0 else d + 10.0
+                if spikes:
+                    d[200 if run == 0 else 100] = 1e6
+                return x, d, n
+            return signals
+
+        priors = []
+
+        def rule(prior, noise_window, gamma_bar):
+            priors.append(prior[0])
+            return np.full(prior.size, (3.0 if abs(prior[0]) > 1e5 else 1.0) * gamma_bar)
+
+        monkeypatch.setattr(sim, "_CHUNK_STEPS", chunk)
+        monkeypatch.setattr(sim, "generate_signals", drifting(True))
+        config = ScenarioConfig(iterations=300, seed=6, cv_strategy=custom_cv(rule))
+        with pytest.raises(SimulationError) as single:
+            run_single(config, SMAP, run_rng(6, 1))
+        assert str(single.value).startswith("iteration 100: ")
+        replayed = len(priors)
+        priors.clear()
+        with pytest.raises(SimulationError) as ensemble:
+            run_monte_carlo(config, SMAP, 2)
+        assert str(ensemble.value) == f"run 1 (seed 6): {single.value}"
+        spikes = [p for p in priors[:-replayed] if abs(p) > 1e5]
+        # run 0's spike, met first with w still zero, then run 1's, the last call
+        assert len(spikes) == 2 and spikes[0] == 1e6 and priors[-replayed - 1] == spikes[1]
+        monkeypatch.setattr(sim, "generate_signals", drifting(False))
+        _assert_lockstep_matches_run_single(config, SMAP, 2)
 
     def test_earlier_failure_of_a_higher_run_wins(self, monkeypatch):
         # The rule fails on a reference spike.  Run 0 never fires, so its

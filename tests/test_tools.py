@@ -25,11 +25,18 @@ def tools(monkeypatch):
     return importlib.import_module
 
 
-def compare(tools, parent, change, names=("steps_per_s", "setup_s")):
+def results(values, names, pass_frac=1.0, correct=True):
+    """``perfbench/run.py``'s result objects, one per value, that read it for each metric in
+    ``names``; ``correct`` is one flag for all runs or a list of one per run."""
+    flags = correct if isinstance(correct, list) else [correct] * len(values)
+    return [{"metrics": {"pass_frac": {"value": pass_frac}} | {n: {"value": v} for n in names},
+             "correct": flag} for v, flag in zip(values, flags)]
+
+
+def compare(tools, parent, change, names=("steps_per_s", "setup_s"), **change_runs):
     """``ab_bench.compare`` on result objects that read the same pairs for each metric in
-    ``names``."""
-    runs = {side: [{"metrics": {name: {"value": v} for name in names}} for v in values]
-            for side, values in (("parent", parent), ("change", change))}
+    ``names``; ``change_runs`` sets the change side's ``pass_frac`` and ``correct``."""
+    runs = {"parent": results(parent, names), "change": results(change, names, **change_runs)}
     return tools("ab_bench").compare(runs, {name: BETTER[name] for name in names})
 
 
@@ -70,6 +77,20 @@ def test_ties_count_for_neither_side(tools):
     # counted for either side, the two ties would make ten of ten, a GAIN or a LOSS
     assert [(c.won, c.verdict) for c in compare(tools, PARENT, change).values()] == [
         (8, ""), (0, "")]
+
+
+@pytest.mark.parametrize("change_runs", [
+    pytest.param({"pass_frac": 0.5, "correct": False}, id="every-run-failing"),
+    pytest.param({"pass_frac": 0.99}, id="pass-frac-below-the-parents"),
+    pytest.param({"correct": [True] * 9 + [False]}, id="one-run-not-correct"),
+])
+def test_a_change_that_fails_operations_gains_nothing(tools, change_runs):
+    change = [v + 5 for v in PARENT]
+    assert verdicts(tools, PARENT, change) == {"steps_per_s": "GAIN", "setup_s": "LOSS"}
+    withheld = {name: c.verdict
+                for name, c in compare(tools, PARENT, change, **change_runs).items()}
+    assert withheld == {"steps_per_s": "no GAIN: the change fails more operations",
+                        "setup_s": "LOSS"}
 
 
 def test_diff_outputs_runs_every_golden_command_and_each_first_chunk_at_seed_1(

@@ -39,7 +39,12 @@ def compare(runs: dict[str, list[dict]], better: dict[str, str]) -> dict[str, Co
     """Compare, per metric in ``better`` ("higher" or "lower" is better), the result objects
     of ``perfbench/run.py`` that ``runs[side]`` lists by pair.  A GAIN holds when the change wins
     at least nine tenths of at least ten pairs, ties counting for neither side, and the medians
-    differ by more than the parent's interquartile range; a LOSS is the same the other way."""
+    differ by more than the parent's interquartile range; a LOSS is the same the other way.
+    No metric gains while a change run is not correct or the change's median ``pass_frac`` is
+    below the parent's: a change that fails more operations has no gain to claim."""
+    passing = {side: statistics.median(r["metrics"]["pass_frac"]["value"] for r in runs[side])
+               for side in SIDES}
+    failing = passing["change"] < passing["parent"] or not all(r["correct"] for r in runs["change"])
     comparisons = {}
     for name, direction in better.items():
         parent, change = ([r["metrics"][name]["value"] for r in runs[side]] for side in SIDES)
@@ -53,7 +58,7 @@ def compare(runs: dict[str, list[dict]], better: dict[str, str]) -> dict[str, Co
         if len(parent) < 10:
             verdict = "too few pairs for a verdict"
         elif won >= 0.9 * len(parent) and sign * gap > spread:
-            verdict = "GAIN"
+            verdict = "no GAIN: the change fails more operations" if failing else "GAIN"
         elif lost >= 0.9 * len(parent) and -sign * gap > spread:
             verdict = "LOSS"
         else:

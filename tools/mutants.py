@@ -99,8 +99,8 @@ CATALOGUE = (
         ("filters.py", "fires = indicator(e[0], gamma_bar)", "fires = indicator(e[-1], gamma_bar)"),
         # the ensemble's many-step loop (L >= 1; at L = 0 the oldest error is the newest):
         # step i's window is e[:, h-1-i : h-1-i+L+1], so its oldest error is e[:, h-1-i+L]
-        ("sim.py", "fires = pending > (np.abs(e0) <= gamma_bar)",
-         "fires = pending > (np.abs(e[:, h - 1 + L : L - 1 : -1]) <= gamma_bar)"),
+        ("sim.py", "fires = ~(np.abs(e0) <= gamma_bar)",
+         "fires = ~(np.abs(e[:, h - 1 + L : L - 1 : -1]) <= gamma_bar)"),
     )),
     Mutant("sccv-band-doubled", (
         ("constraints.py", "cv = np.minimum(np.maximum(prior, -gamma_bar), gamma_bar)",
@@ -133,7 +133,7 @@ CATALOGUE = (
         ("filters.py", "return abs(e0) > gamma_bar", "return abs(e0) >= gamma_bar"),
         ("sim.py", "config.gamma_bar < abs(e[0])", "config.gamma_bar <= abs(e[0])"),
         ("sim.py", "(~(np.abs(e0) <= gamma_bar))", "(~(np.abs(e0) < gamma_bar))"),
-        ("sim.py", "pending > (np.abs(e0) <= gamma_bar)", "pending > (np.abs(e0) < gamma_bar)"),
+        ("sim.py", "fires = ~(np.abs(e0) <= gamma_bar)", "fires = ~(np.abs(e0) < gamma_bar)"),
     )),
     # a band with the absolute slack it once had, and the ensemble's Gram with an absolute
     # delta threshold, as checker-gram-without-small-delta puts one in the checker's
@@ -147,6 +147,15 @@ CATALOGUE = (
     # run_single's own gate letting a non-finite error through to the constraint rule
     Mutant("scalar-gate-takes-non-finite-errors", (
         ("sim.py", "config.gamma_bar < abs(e[0]) < math.inf", "config.gamma_bar < abs(e[0])"),
+    )),
+    # the ensemble's many-step loop: a quiet run moved one step past its span, so the
+    # step after the span is never gated nor recorded; runs going on past the first failure
+    Mutant("quiet-lookahead-skips-a-step", (
+        ("sim.py", "at += h  #", "at += h + 1  #"),
+        ("sim.py", "at[rows] -= q", "at[rows] -= q + 1"),
+    )),
+    Mutant("runs-go-on-past-the-first-failure", (
+        ("sim.py", "(limit := min(K, kfail + 1))", "(limit := K)"),
     )),
 )
 
