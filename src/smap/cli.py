@@ -291,8 +291,8 @@ def verify_update_against_kkt(
         state = FilterState(w_prev)
         new_state, outcome = filters.smap_update(state, window, cv, gamma_bar, 0.0)
         w_kkt = solve_constrained(ConstrainedLSProblem(X, d, w_prev, cv))
-        update_gap = float(np.max(np.abs(new_state.w - w_kkt)))
-        post_gap = float(np.max(np.abs(outcome.posterior_errors - cv)))
+        update_gap = float(np.abs(new_state.w - w_kkt).max())
+        post_gap = float(np.abs(outcome.posterior_errors - cv).max())
         record = robustness.local_check(w_true, state, new_state, window, cv, True, 0.0)
         gaps.append((update_gap, post_gap, record.identity_residual / max(1.0, record.g2)))
     gaps = np.array(gaps)

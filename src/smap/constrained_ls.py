@@ -1,19 +1,19 @@
-"""Independent route to the constrained step: a KKT system solved with a
-generic pivoted elimination.
+"""Independent route to the constrained step: the stacked KKT system, solved by LU.
 
-The production update reaches the same coefficients through the normal
-equations and a Cholesky factorization; this solver shares none of that
-path, which is exactly why the two are compared.
+The production update solves the (L+1)-sized normal equations by Cholesky; this solver
+factors the (N+L+1)-sized stacked system with ``dgesv`` (LU with row pivoting).  The two
+routes share no routine and no system, only ``linalg``'s LAPACK build; hence the cross-check.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError, SingularSystemError
-from .linalg import all_finite
+from .linalg import all_finite, dgesv
 
 __all__ = ["ConstrainedLSProblem", "solve_constrained"]
 
@@ -60,20 +60,20 @@ def solve_constrained(problem: ConstrainedLSProblem) -> np.ndarray:
     fails the factorization or leaves a constraint residual; both raise.
     """
     X = problem.X
-    m, p = X.shape
-    kkt = np.zeros((m + p, m + p))
-    kkt[:m, :m] = np.eye(m)
+    m, n = X.shape[0], sum(X.shape)
+    kkt = np.zeros((n, n), order="F")  # the layout dgesv factors in place, with no copy
+    kkt.ravel("K")[: m * (n + 1) : n + 1] = 1.0  # the identity block, through a view
     kkt[:m, m:] = X
     kkt[m:, :m] = X.T
     target = problem.d - problem.cv
-    rhs = np.concatenate([problem.w_prev, target])
-    try:
-        solution = np.linalg.solve(kkt, rhs)
-    except np.linalg.LinAlgError as err:
-        raise SingularSystemError("stacked system is singular; inputs are rank deficient") from err
+    # overwrite_a=1 and overwrite_b=1, passed by position: f2py parses keywords slowly
+    _, _, solution, info = dgesv(kkt, np.concatenate([problem.w_prev, target]), 1, 1)
+    if info > 0 or not all_finite(solution):
+        raise SingularSystemError("stacked system is singular; inputs are rank deficient")
     w = solution[:m]
-    residual = float(np.linalg.norm(X.T @ w - target))
-    if not residual <= 1e-9 * (1.0 + float(np.linalg.norm(target))):
+    # 2-norms without squaring, so entries near the float limit cannot overflow
+    residual = math.hypot(*(X.T @ w - target).tolist())
+    if not residual <= 1e-9 * (1.0 + math.hypot(*target.tolist())):
         raise SingularSystemError(
             f"constraint residual {residual:.3e}; inputs are numerically rank deficient"
         )

@@ -1,14 +1,14 @@
-"""Small dense helpers for the reuse-window normal equations.
+"""Small dense helpers for the reuse-window normal equations, and the LAPACK they bind.
 
-Everything operates on the (L+1)-sized Gram systems that the projection
-update and the energy bookkeeping share.  The Gram inverse is never
-formed.  Every solve, of one system or a stack, factors the regularized
-Gram matrix with LAPACK's ``dpotrf`` and solves with ``dpotrs``, one
-system at a time, so a system solved in a stack matches it solved alone
-to the bit, and the algorithm and its checks apply the same operator.
-These are scipy's own wrappers from ``scipy.linalg._flapack``, and ``sim``'s
-AR(1) input runs ``lfilter``'s loop ``scipy.signal._sigtools._linear_filter``;
-both compiled modules are loaded by file, skipping their packages' init.
+Everything operates on the (L+1)-sized Gram systems that the projection update and the
+energy bookkeeping share.  The Gram inverse is never formed.  Every solve, of one system
+or a stack, factors the regularized Gram matrix with LAPACK's ``dpotrf`` and solves with
+``dpotrs``, one system at a time, so a system solved in a stack matches it solved alone
+to the bit, and the algorithm and its checks apply the same operator.  ``dgesv`` (LU with
+row pivoting) serves ``constrained_ls``, so both solution routes run one LAPACK build.
+These are scipy's own wrappers from ``scipy.linalg._flapack``, and ``sim``'s AR(1) input
+runs ``lfilter``'s loop ``scipy.signal._sigtools._linear_filter``; both compiled modules
+are loaded by file, skipping their packages' init.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ def _scipy(subpackage: str, name: str, *names: str) -> list:
     return [getattr(module, attr) for attr in names]
 
 
-dpotrf, dpotrs = _scipy("linalg", "_flapack", "dpotrf", "dpotrs")
+dgesv, dpotrf, dpotrs = _scipy("linalg", "_flapack", "dgesv", "dpotrf", "dpotrs")
 (_linear_filter,) = _scipy("signal", "_sigtools", "_linear_filter")
 
 

@@ -157,6 +157,16 @@ CATALOGUE = (
     Mutant("runs-go-on-past-the-first-failure", (
         ("sim.py", "(limit := min(K, kfail + 1))", "(limit := K)"),
     )),
+    # the KKT route: a singular LU let through to the residual test, and the identity
+    # block written one column off (the stacked matrix is in Fortran order)
+    Mutant("kkt-ignores-singular-info", (
+        ("constrained_ls.py", "if info > 0 or not all_finite(solution):",
+         "if not all_finite(solution):"),
+    )),
+    Mutant("kkt-unit-diagonal-off-by-one", (
+        ("constrained_ls.py", 'kkt.ravel("K")[: m * (n + 1) : n + 1] = 1.0',
+         'kkt.ravel("K")[n : m * (n + 1) : n + 1] = 1.0'),
+    )),
 )
 
 
