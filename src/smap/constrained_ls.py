@@ -73,8 +73,10 @@ def solve_constrained(problem: ConstrainedLSProblem) -> np.ndarray:
     w = solution[:m]
     # 2-norms without squaring, so entries near the float limit cannot overflow
     residual = math.hypot(*(X.T @ w - target).tolist())
-    if not residual <= 1e-9 * (1.0 + math.hypot(*target.tolist())):
-        raise SingularSystemError(
-            f"constraint residual {residual:.3e}; inputs are numerically rank deficient"
-        )
+    bound = 1e-9 * (1.0 + math.hypot(*target.tolist()))
+    if not residual <= bound:  # then allow for the rounding of X.T w on the scale of w_prev
+        if not residual <= bound + 1e-9 * math.hypot(*(abs(X).T @ abs(problem.w_prev)).tolist()):
+            raise SingularSystemError(
+                f"constraint residual {residual:.3e}; inputs are numerically rank deficient"
+            )
     return w

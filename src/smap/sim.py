@@ -409,26 +409,25 @@ def run_monte_carlo(config: ScenarioConfig, algorithm: str, runs: int) -> MonteC
     peak memory grows with the block, not with ``runs``.  A block goes in
     rounds: in each, every run whose gate fires next takes one firing
     step, stacked over those runs, whose one Cholesky factorization serves
-    both the update and the energy check.  For SM-AP with ``reuse >= 1``
-    each run keeps its own step across the block: a round takes its prior
-    errors over the next ``_CHUNK_STEPS`` steps in one product and moves
-    it to its first firing step among them, or past them, so the rounds
-    follow the busiest run's updates, not samples.  AP fires on every
-    step, and at ``reuse == 0`` a product over several steps rounds unlike
-    ``run_single``'s, so both advance every run one step per round, over
-    chunks of ``_CHUNK_STEPS`` steps whose Gram matrices one stacked
-    product builds.  The energy terms, which never feed back into the
-    recursion, are folded in one pass every ``_CHUNK_STEPS`` rounds.
+    both the update and the energy check.  For SM-AP each run keeps its
+    own step across the block: a round takes its prior errors over the
+    next ``_CHUNK_STEPS`` steps in one product, or at ``reuse == 0`` in one
+    dot product per step as ``run_single`` takes it, and moves it to its
+    first firing step among them, or past them, so the rounds follow the
+    busiest run's updates, not samples.  AP fires on every step, so it
+    advances every run one step per round, over chunks of
+    ``_CHUNK_STEPS`` steps whose Gram matrices one stacked product
+    builds.  The energy terms, which never feed back into the recursion,
+    are folded in one pass every ``_CHUNK_STEPS`` rounds.
 
     Both engines read the runs' data from one store, so products go
     through the same numpy loops as in ``run_single`` at every filter
     length; solves go through the same LAPACK calls (``dpotrf``,
-    ``dpotrs``), and squared errors are summed in run order.  So each run
+    ``dpotrs``), the energy check's terms through ``local_check``'s dot
+    products, and squared errors are summed in run order.  So each run
     follows its ``run_single`` trajectory to the bit: ``mse_curve``
     equals the average of the ``run_single`` curves and the per-run rates
-    and counts match.  The energy check's quadratic forms are summed in
-    another order, which could move a step's classification only at the
-    edge of the ``PRESERVE_RTOL`` tie band.
+    and counts match.
     A custom constraint rule is called once per firing run and step,
     round by round and in run order within a round, so a rule that keeps
     state sees a different call order than under ``run_single``.  If the
@@ -568,8 +567,9 @@ def _lockstep_block(
         log.clear()
         hit, nf, cv, sols = map(np.concatenate, (hits, nfs, cvs, solss))
         noise_quad = np.einsum("ij,ij->i", nf, sols[:, :, 1])
-        lhs = np.einsum("ij,ij->i", cv, sols[:, :, 2])
-        rhs = 2.0 * np.einsum("ij,ij->i", cv, sols[:, :, 1])
+        # as local_check takes them: one BLAS dot per step, over a contiguous solution column
+        cross, lhs = (cv[:, None, None] @ sols.swapaxes(1, 2)[:, 1:, :, None].copy())[:, :, 0, 0].T
+        rhs = 2.0 * cross
         updates += np.bincount(hit, minlength=R)
         violations += np.bincount(hit[expands(lhs, rhs)], minlength=R)
         noise_energy += np.bincount(hit, noise_quad, R)
@@ -579,11 +579,10 @@ def _lockstep_block(
             steps = np.concatenate([np.broadcast_to(k, r.shape) for k, r in zip(steps, hits)])
             fail(hit, steps, (noise_quad == 0.0) & (np.einsum("ij,ij->i", wt, wt) == 0.0))
 
-    if ap or L == 0:
-        # AP fires on every step, and at L = 0 a product over several steps
-        # rounds unlike the step's own: one step per round, in chunks whose
-        # Gram matrices one stacked product builds.  Chunk column c of the
-        # chunk views belongs to step k0+C-1-c.
+    if ap:
+        # AP fires on every step: one step per round, in chunks whose Gram
+        # matrices one stacked product builds.  Chunk column c of the chunk
+        # views belongs to step k0+C-1-c.
         for k0 in range(0, K, h):
             k1 = min(K, k0 + h)
             chunk, dc = xwin[:, K - k1 : K - k0], ds[:, h + K - k1 :]
@@ -591,13 +590,8 @@ def _lockstep_block(
             for c in range(k1 - k0 - 1, -1, -1):
                 k = k1 - 1 - c
                 e = dc[:, c : c + m] - (chunk[:, c] @ w[:, :, None])[:, :, 0]
-                errors[:, h + K - 1 - k] = e0 = e[:, 0]
-                rows = every if ap else (~(np.abs(e0) <= gamma_bar)).nonzero()[0]
-                if rows.size == R:  # every run at one step: views
-                    fire(rows, k, e, nwin[:, K - 1 - k], grams[:, c], chunk[:, c])
-                elif rows.size:
-                    Xt = windows(xseg[rows, K - 1 - k], m)
-                    fire(rows, k, e[rows], nwin[rows, K - 1 - k], grams[rows, c], Xt)
+                errors[:, h + K - 1 - k] = e[:, 0]
+                fire(every, k, e, nwin[:, K - 1 - k], grams[:, c], chunk[:, c])
                 if kfail <= k:  # every run is checked up to the first failure
                     break
             if kfail < k1:
@@ -615,7 +609,10 @@ def _lockstep_block(
         espan = sliding_window_view(errors, h, axis=1, writeable=True)
         while (k0 := int(at.min())) < (limit := min(K, kfail + 1)):
             start = K - at
-            e = dspan[every, start] - (windows(xspan[every, start], h + L) @ w[:, :, None])[:, :, 0]
+            x = windows(xspan[every, start], h + L)
+            # run_single's X.T @ w is one BLAS dot at L = 0, and numpy's own loop at L >= 1
+            xw = x[:, :, None] @ w[:, None, :, None] if L == 0 else x @ w[:, :, None]
+            e = dspan[every, start] - xw.reshape(R, h + L)
             espan[every, start] = e[:, :h]
             e0 = e[:, h - 1 :: -1]  # e0[:, i] is step at+i's
             fires = ~(np.abs(e0) <= gamma_bar)

@@ -173,6 +173,16 @@ def test_targets_near_the_float_limit_solve_without_a_warning(d, cv):
     npt.assert_array_equal(w, [d[0] - cv[0], d[1] - cv[1], 0.0])
 
 
+def test_coefficients_near_the_float_limit_widen_the_residual_bound():
+    # w_prev = 1e308 leaves LU's w[:2] at 0, not 1: a residual of sqrt(2), which is
+    # rounding on the scale of w_prev, not rank deficiency (orthonormal columns)
+    problem = ConstrainedLSProblem(np.eye(3)[:, :2], np.ones(2), np.full(3, 1e308), np.zeros(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = solve_constrained(problem)
+    npt.assert_array_equal(w, [0.0, 0.0, 1e308])
+
+
 @pytest.mark.parametrize("shape", [(3,), (3, 0), (3, 1, 1)])
 def test_problem_inputs_must_be_a_matrix_with_columns(shape):
     d = np.zeros(shape[1] if len(shape) > 1 else 1)

@@ -21,7 +21,7 @@ from smap import sim
 from smap.constraints import custom_cv, fixed_cv, noise_cv, sc_cv, zero_cv
 from smap.errors import InvalidInputError, SimulationError, SmapError
 from smap.filters import DataWindow, ap_update, error_vector, smap_update
-from smap.robustness import divergence_monitor, global_accumulate, local_check
+from smap.robustness import divergence_monitor, expands, global_accumulate, local_check
 from smap.sim import (
     AP,
     SMAP,
@@ -721,11 +721,12 @@ class TestMonteCarlo:
             _assert_lockstep_matches_run_single(config, algorithm, 4)
 
     @pytest.mark.parametrize("runs", [1, 8, 65])
-    @pytest.mark.parametrize("reuse", [1, 2, 8])
+    @pytest.mark.parametrize("reuse", [0, 1, 2, 8])
     @pytest.mark.parametrize("iterations", [1, 63, 64, 65, 200])
     def test_per_run_steps_match_run_single(self, iterations, reuse, runs):
         # runs jump to their own firing steps: chunk ends, ragged last
-        # chunks and a second block of runs must not move a bit
+        # chunks and a second block of runs must not move a bit, at L = 0
+        # too, where each step's prior error is its own dot product
         config = ScenarioConfig(
             iterations=iterations, reuse=reuse, seed=iterations + runs, cv_strategy=sc_cv()
         )
@@ -736,7 +737,8 @@ class TestMonteCarlo:
         # fires next, and each run keeps its own step across the block, so
         # the calls number at most the busiest run's updates, one quiet
         # round per lookahead and one more; waiting for every run at each
-        # chunk seam costs more rounds than that on this ensemble
+        # chunk seam costs more rounds than that on this ensemble.  At L = 0
+        # the runs take the same lookahead, not one step per round.
         calls = []
         solve = sim.solve_spd_stack
 
@@ -745,10 +747,47 @@ class TestMonteCarlo:
             return solve(G, b)
 
         monkeypatch.setattr(sim, "solve_spd_stack", spy)
-        config = ScenarioConfig(iterations=1000, seed=0, cv_strategy=sc_cv())
-        _assert_lockstep_matches_run_single(config, SMAP, 8)
-        busiest = max(run_single(config, SMAP, run_rng(0, r)).update_flags.sum() for r in range(8))
-        assert 0 < len(calls) <= busiest + math.ceil(config.iterations / sim._CHUNK_STEPS) + 1
+        for reuse in (2, 0):
+            calls.clear()
+            config = ScenarioConfig(iterations=1000, reuse=reuse, seed=0, cv_strategy=sc_cv())
+            _assert_lockstep_matches_run_single(config, SMAP, 8)
+            flags = [run_single(config, SMAP, run_rng(0, r)).update_flags for r in range(8)]
+            busiest = max(f.sum() for f in flags)
+            assert 0 < len(calls) <= busiest + math.ceil(config.iterations / sim._CHUNK_STEPS) + 1
+
+    @pytest.mark.parametrize(
+        "num_taps,reuse,delta", [(1, 0, 1e-12), (10, 0, 0.0), (10, 2, 1e-12), (20, 16, 1e-3),
+                                 (16, 15, 0.0)]
+    )
+    @pytest.mark.parametrize(
+        "case", ["fixed", "sccv", "noise", "noise:2", "zero", "custom", "ap:0.9"]
+    )
+    def test_energy_terms_match_run_single_to_the_bit(
+        self, monkeypatch, case, num_taps, reuse, delta
+    ):
+        # The fold takes each updating step's lhs and rhs with the dot
+        # products local_check takes, so every label is run_single's, at the
+        # tie band too: the noise target at scale 2 puts lhs on rhs
+        terms = []
+
+        def spy(lhs, rhs):
+            terms.append((lhs.copy(), rhs.copy()))
+            return expands(lhs, rhs)
+
+        monkeypatch.setattr(sim, "expands", spy)
+        kwargs = {"cv_strategy": noise_cv(2.0)} if case == "noise:2" else ENSEMBLE_CASES[case]
+        algorithm = AP if "ap_step" in kwargs else SMAP
+        for seed in (1, 2):
+            config = ScenarioConfig(
+                iterations=300, num_taps=num_taps, reuse=reuse, delta=delta, seed=seed, **kwargs
+            )
+            terms.clear()
+            run_monte_carlo(config, algorithm, 1)
+            trace = run_single(config, algorithm, run_rng(seed, 0))
+            records = [rec for rec in trace.local_records if rec.updated]
+            lhs, rhs = (np.concatenate(side).tolist() for side in zip(*terms))
+            assert lhs == [rec.lhs for rec in records]
+            assert rhs == [rec.rhs for rec in records]
 
     @pytest.mark.parametrize("chunk", [7, 64])
     def test_runs_drifting_apart_fail_and_agree_as_in_run_single(self, monkeypatch, chunk):
@@ -824,7 +863,8 @@ class TestMonteCarlo:
         ],
     )
     def test_non_finite_sample_fails_as_in_run_single(self, monkeypatch, algorithm, kwargs, series):
-        # per-run steps, one step per round, and AP: a NaN in run 2's input,
+        # per-run steps over the bulk product and over per-step dot products
+        # (L = 0), and AP's one step per round: a NaN in run 2's input,
         # reference or noise fails the window that takes it in, at step 30
         def faulty(config, w0, rng):
             signals = dict(zip("xdn", generate_signals(config, w0, rng)))

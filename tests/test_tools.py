@@ -106,7 +106,7 @@ def test_diff_outputs_runs_every_golden_command_and_each_first_chunk_at_seed_1(
     assert first_chunks[-1] == "verify --instances 1000 --seed 1000000"
     commands = tools("diff_outputs").COMMANDS
     assert set(GOLDEN) | set(first_chunks) <= set(commands)
-    assert len(set(commands)) == len(commands) == 68
+    assert len(set(commands)) == len(commands) == 69
 
 
 def running(pid: int) -> bool:

@@ -11,9 +11,10 @@ stdout, stderr and exit status with ``diff -r``, so a command that fails is
 compared too, and exits nonzero on any difference.  The commands are those whose
 digests tests/test_golden.py pins, the first chunk of each perfbench workload at
 seed 1, a few whose tables span several of the blocks the writer formats at a
-time, and some the library rejects: plans that name one configuration under two
-spellings, a value outside each parameter's range, strategies that --cv does not
-offer, and configurations with two faults each, which show which is blamed first.
+time, ensembles of two blocks of runs at reuse 0 and above, and some the library
+rejects: plans that name one configuration under two spellings, a value outside
+each parameter's range, strategies that --cv does not offer, and configurations
+with two faults each, which show which is blamed first.
 """
 
 from __future__ import annotations
@@ -44,6 +45,8 @@ COMMANDS = (
     "mc --iters 2000 --runs 8 --algos smap:sccv,smap:zero,smap:fixed,smap:noise --seed 7",
     "mc --iters 1000 --runs 9 --reuse 1 --taps 3 --algos smap:sccv,smap:fixed --seed 11",
     "mc --iters 1000 --runs 9 --reuse 0 --algos smap:sccv,smap:fixed --seed 12",
+    "mc --iters 300 --runs 70 --reuse 0 --taps 4 --algos smap:fixed,smap:sccv,smap:noise,"
+    "smap:zero,ap:0.9",
     "mc --iters 777 --runs 130 --algos smap:sccv --seed 13",
     "mc --delta 0 --taps 16 --reuse 9 --iters 130 --runs 3 --seed 25 --algos smap:sccv",
     "mc --delta 0 --taps 16 --reuse 9 --iters 130 --runs 3 --seed 25 --algos ap:0.9",

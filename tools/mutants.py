@@ -97,10 +97,10 @@ CATALOGUE = (
         ("sim.py", "config.gamma_bar < abs(e[0]) < math.inf",
          "config.gamma_bar < abs(e[-1]) < math.inf"),
         ("filters.py", "fires = indicator(e[0], gamma_bar)", "fires = indicator(e[-1], gamma_bar)"),
-        # the ensemble's many-step loop (L >= 1; at L = 0 the oldest error is the newest):
-        # step i's window is e[:, h-1-i : h-1-i+L+1], so its oldest error is e[:, h-1-i+L]
+        # the ensemble's SM-AP loop: step i's window is e[:, h-1-i : h-1-i+L+1], so its
+        # oldest error is e[:, h-1-i+L] (at L = 0 the oldest error is the newest)
         ("sim.py", "fires = ~(np.abs(e0) <= gamma_bar)",
-         "fires = ~(np.abs(e[:, h - 1 + L : L - 1 : -1]) <= gamma_bar)"),
+         "fires = ~(np.abs(e[:, L : h + L][:, ::-1]) <= gamma_bar)"),
     )),
     Mutant("sccv-band-doubled", (
         ("constraints.py", "cv = np.minimum(np.maximum(prior, -gamma_bar), gamma_bar)",
@@ -132,7 +132,6 @@ CATALOGUE = (
     Mutant("gate-at-the-threshold-in-both-engines", (
         ("filters.py", "return abs(e0) > gamma_bar", "return abs(e0) >= gamma_bar"),
         ("sim.py", "config.gamma_bar < abs(e[0])", "config.gamma_bar <= abs(e[0])"),
-        ("sim.py", "(~(np.abs(e0) <= gamma_bar))", "(~(np.abs(e0) < gamma_bar))"),
         ("sim.py", "fires = ~(np.abs(e0) <= gamma_bar)", "fires = ~(np.abs(e0) < gamma_bar)"),
     )),
     # a band with the absolute slack it once had, and the ensemble's Gram with an absolute
@@ -156,6 +155,11 @@ CATALOGUE = (
     )),
     Mutant("runs-go-on-past-the-first-failure", (
         ("sim.py", "(limit := min(K, kfail + 1))", "(limit := K)"),
+    )),
+    # the ensemble's energy terms summed by einsum's loop, not by local_check's BLAS dots
+    Mutant("fold-sums-terms-by-einsum", (
+        ("sim.py", "(cv[:, None, None] @ sols.swapaxes(1, 2)[:, 1:, :, None].copy())[:, :, 0, 0].T",
+         'np.einsum("ij,ij->i", cv, sols[:, :, 1]), np.einsum("ij,ij->i", cv, sols[:, :, 2])'),
     )),
     # the KKT route: a singular LU let through to the residual test, and the identity
     # block written one column off (the stacked matrix is in Fortran order)
